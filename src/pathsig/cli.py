@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -657,9 +657,20 @@ def _load_events(source: Optional[str]) -> Sequence[Event]:
     events = []
     for k, item in enumerate(raw):
         try:
-            events.append(Event(**item))
+            event = Event(**item)
         except TypeError as exc:
             raise CsvFormatError(f"event {k}: {exc}") from None
+        for f in fields(Event):
+            value = getattr(event, f.name)
+            integer = f.name in ("leader", "follower")
+            if isinstance(value, bool) or not isinstance(
+                value, int if integer else (int, float)
+            ):
+                kind = "an integer" if integer else "a number"
+                raise CsvFormatError(
+                    f"event {k}: {f.name} must be {kind}, got {value!r}"
+                )
+        events.append(event)
     return events
 
 

@@ -1,9 +1,23 @@
-"""Signature computation: fast segment-exponential engine and slow oracle.
+"""Signature computation: blocked prefix engine and slow simplex oracle.
 
-The production algorithm exploits that a linear segment with displacement
-Delta has signature exp(Delta at grade 1), so the signature of a polygonal
-path is the ordered tensor product of per-segment exponentials (Chen's
-identity). This is exact for sampled series up to floating-point rounding.
+A linear segment with increment d has signature exp(d), whose grade p is
+d^(x)p / p!, so by Chen's identity grade k of the prefix signature after
+segment m obeys
+
+    S^k(m) = S^k(m-1) + sum_{p=1..k} S^(k-p)(m-1) (x) d_m^(x)p / p!.
+
+The right-hand side needs only lower-grade prefixes, so grade k for a whole
+run of segments is one batched product followed by one cumsum (a plain sum
+for the top grade, whose prefixes nobody reads). This is the level-by-level
+scheme of iisignature (Reizenstein & Graham, arXiv:1802.08252) and Signatory
+(Kidger & Lyons, arXiv:2001.00706). It is exact for sampled series up to
+floating-point rounding.
+
+Segments are processed in blocks, carrying the running signature from one
+block to the next, so the working arrays stay within _BLOCK_BYTES however
+long the path is (or a few multiples of the output when one segment's rows
+alone exceed it). signature() refuses requests whose output would exceed
+MAX_COEFFICIENTS before allocating anything.
 
 signature_oracle evaluates a single coefficient straight from the iterated
 integral over the ordered simplex instead, by summing over ordered tuples of
@@ -18,15 +32,16 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .path_core import Path
-from .tensor_algebra import TruncatedTensor, tensor_product, validate_word
+from .tensor_algebra import TruncatedTensor, validate_word
 
 __all__ = [
     "DEFAULT_LEVEL_CAP",
+    "MAX_COEFFICIENTS",
     "SignatureResult",
     "ScaleCheck",
     "signature",
@@ -41,6 +56,12 @@ DEFAULT_LEVEL_CAP = 6
 
 #: the simplex oracle costs O(T^k); keep it a reference implementation
 ORACLE_MAX_WORD = 4
+
+#: largest signature size sum_k N^k that signature() will allocate
+MAX_COEFFICIENTS = 1 << 21
+
+#: working-set budget for one block of segments in the prefix engine
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,31 +84,62 @@ class SignatureResult:
         return out
 
 
-def _segment_exp(delta: np.ndarray, level: int) -> TruncatedTensor:
-    """Signature of one linear segment: grade k is delta^(x)k / k!."""
-    levels = [np.ones(1)]
-    power = np.ones(1)
-    for k in range(1, level + 1):
-        power = np.kron(power, delta) / k
-        levels.append(power)
-    return TruncatedTensor(delta.size, level, tuple(levels))
+def _prefix_levels(deltas: np.ndarray, level: int) -> List[np.ndarray]:
+    """Grades 0..level of the signature of the path with (M, N) increments.
+
+    Grade k's step terms are evaluated for a whole block in Horner form,
+    ((d/k + S^1) (x) d/(k-1) + S^2) ... (x) d/1, where S^j holds each
+    segment's exclusive grade-j prefix; the grades reached at the end of a
+    block seed the next one.
+    """
+    n = deltas.shape[1]
+    sig = [np.ones(1)] + [np.zeros(n**k) for k in range(1, level + 1)]
+    # per segment: prefixes and increments of every grade plus one product
+    row_bytes = 3 * 8 * sum(n**k for k in range(level + 1))
+    block = max(1, _BLOCK_BYTES // row_bytes)
+    for first in range(0, deltas.shape[0], block):
+        d = deltas[first:first + block]
+        rows = d.shape[0]
+        scaled = [None] + [d / c for c in range(1, level + 1)]
+        before = [None]  # before[j][m]: grade j prefix ahead of segment m
+        for k in range(1, level + 1):
+            acc = scaled[k]
+            for j in range(1, k):
+                acc = acc + before[j]
+                acc = acc[:, :, None] * scaled[k - j][:, None, :]
+                acc = acc.reshape(rows, -1)
+            if k == level:
+                sig[k] = sig[k] + acc.sum(axis=0)
+                break
+            prefix = np.empty_like(acc)
+            prefix[0] = sig[k]
+            np.cumsum(acc[:-1], axis=0, out=prefix[1:])
+            prefix[1:] += sig[k]
+            sig[k] = prefix[-1] + acc[-1]
+            before.append(prefix)
+    return sig
 
 
 def signature(a: Path, level: int) -> SignatureResult:
-    """Truncated signature of a sampled path via per-segment exponentials.
+    """Truncated signature of a sampled path via the blocked prefix engine.
 
-    level must lie in [1, DEFAULT_LEVEL_CAP]. A single-point path has the
-    unit signature.
+    level must lie in [1, DEFAULT_LEVEL_CAP], and the output's sum_k N^k
+    coefficients may not exceed MAX_COEFFICIENTS. A single-point path has
+    the unit signature.
     """
     if not 1 <= level <= DEFAULT_LEVEL_CAP:
         raise ValueError(
             f"level must be in [1, {DEFAULT_LEVEL_CAP}], got {level}"
         )
-    sig = TruncatedTensor.unit(a.n_channels, level)
-    for delta in np.diff(a.values, axis=0):
-        sig = tensor_product(sig, _segment_exp(delta, level))
+    size = sum(a.n_channels**k for k in range(level + 1))
+    if size > MAX_COEFFICIENTS:
+        raise ValueError(
+            f"a level-{level} signature of {a.n_channels} channels has {size} "
+            f"coefficients, over the cap of {MAX_COEFFICIENTS}"
+        )
+    levels = _prefix_levels(np.diff(a.values, axis=0), level)
     return SignatureResult(
-        tensor=sig,
+        tensor=TruncatedTensor(a.n_channels, level, tuple(levels)),
         level=level,
         n_channels=a.n_channels,
         n_samples=a.n_samples,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,22 @@ def test_level_above_cap_is_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_signature_over_size_cap_is_config_error(tmp_path, capsys):
+    header = "t," + ",".join(f"c{k}" for k in range(20))
+    rows = [f"{t}," + ",".join(["0"] * 20) for t in range(3)]
+    f = write_csv(tmp_path, body="\n".join([header] + rows) + "\n")
+    tracemalloc.start()
+    try:
+        code = main(["sig", f, "--level", "6"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert "over the cap" in err and err.count("\n") == 1
+
+
 def test_window_longer_than_series_is_config_error(tmp_path, capsys):
     f = write_csv(tmp_path)
     code = main(
@@ -283,6 +300,25 @@ def test_gen_events_rejects_bad_file(tmp_path, capsys):
     ev.write_text("{}")
     assert main(["gen", "events", "--events", str(ev)]) == EXIT_DATA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        '{"time": "a", "leader": 1, "follower": 2}',
+        '{"time": 0.5, "leader": 1, "follower": 2, "lag": null}',
+        '{"time": 0.5, "leader": 1.0, "follower": 2}',
+        '{"time": 0.5, "leader": 1, "follower": true}',
+        '{"time": 0.5, "leader": 1, "follower": 2, "width": [0.1]}',
+    ],
+)
+def test_gen_events_rejects_non_numeric_field(tmp_path, capsys, event):
+    ev = tmp_path / "ev.json"
+    ev.write_text(f"[{event}]")
+    assert main(["gen", "events", "--events", str(ev)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("pathsig: bad input: event 0:")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathsig import (
     DEFAULT_LEVEL_CAP,
@@ -19,7 +21,23 @@ from pathsig import (
     signature_oracle,
     tensor_product,
 )
+from pathsig.signature import _BLOCK_BYTES, MAX_COEFFICIENTS
 from conftest import dyadic_path, random_path
+
+@st.composite
+def nonuniform_paths(draw, n_channels, min_samples=1, max_samples=12):
+    """A path with random sample spacing and bounded coordinates."""
+    t = draw(st.integers(min_samples, max_samples))
+    gaps = draw(st.lists(st.floats(0.1, 2.0), min_size=t, max_size=t))
+    row = st.lists(
+        st.floats(-10.0, 10.0), min_size=n_channels, max_size=n_channels
+    )
+    values = draw(st.lists(row, min_size=t, max_size=t))
+    return Path(np.cumsum(gaps), np.array(values, dtype=float))
+
+
+def total_variation(a: Path) -> float:
+    return float(np.abs(np.diff(a.values, axis=0)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +88,17 @@ def test_oracle_double_letter_closed_form(rng):
         )
 
 
-def test_engine_matches_simplex_oracle(rng):
-    for _ in range(10):
-        a = random_path(rng, n_samples=6, n_channels=3)
-        s = signature(a, 3)
-        for k in (1, 2, 3):
-            for word in itertools.product((1, 2, 3), repeat=k):
-                assert s.coefficient(word) == pytest.approx(
-                    signature_oracle(a, word), abs=1e-10
-                )
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(nonuniform_paths))
+def test_engine_matches_simplex_oracle(a):
+    s = signature(a, 3)
+    scale = 1.0 + total_variation(a)
+    letters = range(1, a.n_channels + 1)
+    for k in (1, 2, 3):
+        for word in itertools.product(letters, repeat=k):
+            assert abs(s.coefficient(word) - signature_oracle(a, word)) <= (
+                1e-12 * scale**k
+            )
 
 
 def test_oracle_rejects_long_words(rng):
@@ -95,17 +115,72 @@ def test_level_bounds(rng):
         signature(a, DEFAULT_LEVEL_CAP + 1)
 
 
+def test_output_size_cap():
+    # 20 channels at level 5 need 3.4M coefficients, at level 4 only 168k
+    a = Path(np.arange(2.0), np.zeros((2, 20)))
+    assert sum(20**k for k in range(5)) <= MAX_COEFFICIENTS
+    assert signature(a, 4).tensor.levels[4].size == 20**4
+    with pytest.raises(ValueError, match="coefficients, over the cap"):
+        signature(a, 5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: nonuniform_paths(n, 1, 1)),
+       st.integers(1, DEFAULT_LEVEL_CAP))
+def test_single_sample_gives_unit_signature(a, level):
+    unit = TruncatedTensor.unit(a.n_channels, level)
+    assert signature(a, level).tensor.max_abs_difference(unit) == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: nonuniform_paths(n, 2, 2)),
+       st.integers(1, DEFAULT_LEVEL_CAP))
+def test_two_samples_give_segment_exponential(a, level):
+    delta = a.values[1] - a.values[0]
+    levels = signature(a, level).tensor.levels
+    power = np.ones(1)
+    for k in range(1, level + 1):
+        power = np.kron(power, delta) / k
+        assert np.allclose(levels[k], power, rtol=1e-14, atol=1e-300)
+
+
 # ---------------------------------------------------------------------------
 # algebraic identities
 
 
-def test_chen_identity(rng):
-    for _ in range(10):
-        a = random_path(rng, n_samples=4, n_channels=2)
-        b = random_path(rng, n_samples=5, n_channels=2)
-        joined = signature(concat(a, b), 4).tensor
-        product = tensor_product(signature(a, 4).tensor, signature(b, 4).tensor)
-        assert joined.max_abs_difference(product) < 1e-10
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    nonuniform_paths(n, max_samples=8), nonuniform_paths(n, max_samples=8)
+)))
+def test_chen_identity(ab):
+    a, b = ab
+    joined = signature(concat(a, b), 4).tensor
+    product = tensor_product(signature(a, 4).tensor, signature(b, 4).tensor)
+    scale = 1.0 + total_variation(a) + total_variation(b)
+    for k in range(5):
+        assert np.max(np.abs(joined.levels[k] - product.levels[k])) <= (
+            1e-11 * scale**k
+        )
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
+def test_chen_identity_across_blocks(seed, split_at):
+    # rows per block as the engine sizes them at N=3, L=6
+    rows = _BLOCK_BYTES // (24 * sum(3**k for k in range(7)))
+    n_samples = 3 * rows + 7
+    rng = np.random.default_rng(seed)
+    a = random_path(rng, n_samples=n_samples, n_channels=3, uniform=False)
+    cut = min(max(1, int(split_at * n_samples)), n_samples - 2)
+    head = Path(a.times[: cut + 1], a.values[: cut + 1])
+    tail = Path(a.times[cut:], a.values[cut:])
+    whole = signature(a, 6).tensor
+    product = tensor_product(
+        signature(head, 6).tensor, signature(tail, 6).tensor
+    )
+    for k in range(7):
+        error = np.max(np.abs(whole.levels[k] - product.levels[k]))
+        assert error <= 1e-11 * np.max(np.abs(product.levels[k]))
 
 
 def test_shuffle_identity_all_short_words(rng):
