@@ -18,7 +18,7 @@ import numpy as np
 
 from .leadlag import _signed_area_xy
 from .path_core import Path, PreprocessConfig, preprocess
-from .signature import signature_derivative
+from .signature import MAX_COEFFICIENTS, signature_derivative
 
 __all__ = [
     "WindowSpec",
@@ -151,7 +151,9 @@ def _index_windows(a: Path, dt: float, w: WindowSpec) -> Tuple[np.ndarray, np.nd
 
     Window length snaps to round(length/dt) segments and each start on the
     stride grid snaps to its nearest sample. Returns (start, end) sample
-    index arrays; end - start is constant.
+    index arrays; end - start is constant. A stride under dt/2 puts a grid
+    point strictly inside every sample's rounding cell, so every sample
+    starts a window and the grid is not built.
     """
     n_seg = int(round(w.length / dt))
     if n_seg < 1:
@@ -159,6 +161,9 @@ def _index_windows(a: Path, dt: float, w: WindowSpec) -> Tuple[np.ndarray, np.nd
     last_start = a.n_samples - 1 - n_seg
     if last_start < 0:
         raise ValueError("window is longer than the series")
+    if w.stride < 0.5 * dt:
+        k1 = np.arange(last_start + 1)
+        return k1, k1 + n_seg
     m = np.arange(int(np.floor(last_start * dt / w.stride + 1e-9)) + 2)
     k1 = np.rint(m * w.stride / dt).astype(int)
     k1 = np.unique(k1[k1 <= last_start])
@@ -172,6 +177,12 @@ def _time_windows(a: Path, w: WindowSpec) -> List[Tuple[float, float]]:
     tol = 1e-9 * max(1.0, a.duration)
     if w.length > a.duration + tol:
         raise ValueError("window is longer than the series")
+    count = (a.duration + tol - w.length) / w.stride + 1
+    if count > MAX_COEFFICIENTS:
+        raise ValueError(
+            f"stride {w.stride:g} gives {count:.3g} windows, "
+            f"over the cap of {MAX_COEFFICIENTS}"
+        )
     bounds = []
     m = 0
     while True:

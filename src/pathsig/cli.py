@@ -1,20 +1,29 @@
 """Deterministic command-line front end.
 
-Output is a pure function of (input bytes, flags, seed): JSON artifacts use
-sorted keys and fixed separators, CSV artifacts are written row by row in a
-fixed order, so re-running a command reproduces the bytes exactly.
+Output is a pure function of (input bytes, flags, environment): JSON
+artifacts use sorted keys and fixed separators, CSV artifacts are written
+row by row in a fixed order, so re-running a command reproduces the bytes
+exactly.
 
-Exit codes: 0 success, 2 usage (argparse), 3 bad input data, 4 I/O failure,
-5 configuration conflict. Value flags can also be set via environment
-variables with the PATHSIG_ prefix (PATHSIG_LEVEL, PATHSIG_SEED, ...);
-explicit flags win over the environment, the environment wins over built-in
-defaults.
+Two tables declare every option once, _COMMANDS and _GENERATORS, and
+build_parser() turns them into the argparse tree. Each option of the chosen
+(sub)command, -h and --version aside, falls back to PATHSIG_<DEST>
+(PATHSIG_LEVEL, PATHSIG_SMOOTH_SIGMA, PATHSIG_N_EVENTS, ...): an explicit
+flag wins over the variable, the variable over the built-in default, and a
+variable for an option the command lacks is ignored. Booleans accept
+1/0/true/false/yes/no/on/off; lists split on spaces or ';'.
+
+Each handler returns (kind, JSON payload thunk, CSV body thunk) and one
+emitter renders the requested format, wrapping JSON with io.artifact and
+CSV with `# key=value` provenance lines.
+
+Exit codes: 0 success, 2 usage (argparse), 3 bad input data (non-UTF-8
+bytes included), 4 I/O failure, 5 configuration conflict or a size cap.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -31,7 +40,6 @@ from .causality import (
     sliding_signed_area,
 )
 from .dynamics import (
-    Event,
     LorenzParams,
     cyclic_pair,
     default_three_channel_events,
@@ -40,17 +48,14 @@ from .dynamics import (
 )
 from .io import (
     CsvFormatError,
+    artifact,
     canonical_json,
-    curves_artifact,
     curves_csv,
-    lead_matrix_artifact,
     lead_matrix_csv,
+    load_events,
     load_path_csv,
     path_to_csv,
-    reports_artifact,
     reports_csv,
-    scalar_artifact,
-    signature_artifact,
 )
 from .leadlag import lead_matrix
 from .path_core import Path, PreprocessConfig, preprocess
@@ -139,7 +144,167 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# flag/environment resolution
+# parser tables and flag/environment resolution
+
+Option = Tuple[List[str], dict]
+
+
+def _opt(flags: str, type=None, default=None, **kwargs) -> Option:
+    """One add_argument call: `default` is the built-in default, which
+    PATHSIG_<DEST> overrides for the chosen command."""
+    if type is not None:
+        kwargs["type"] = type
+    return flags.split(), dict(kwargs, default=default)
+
+
+_SWITCH = dict(action=argparse.BooleanOptionalAction, default=False)
+_OUTPUT = _opt("-o --output", help="output file (default stdout)")
+_SOURCE = [
+    _opt("input", nargs="?", default="-", help="input CSV file, - for stdin"),
+    _OUTPUT,
+    _opt("--smooth-sigma", float),
+    _opt("--center", **_SWITCH),
+    _opt("--normalize", default="none"),
+    _opt("--prepend-zero", **_SWITCH),
+]
+_FORMAT = _opt("--format", choices=("json", "csv"), default="json")
+_PAIRS = _opt(
+    "--pairs",
+    nargs="+",
+    metavar="I,J",
+    help="channel pairs, e.g. --pairs 1,2 2,3",
+)
+_WINDOWED = _SOURCE + [
+    _FORMAT,
+    _opt("--window", float),
+    _opt("--stride", float),
+    _opt("--replicates", int, 0),
+    _opt("--seed", int),
+    _opt("--sigmas", float, 3.0),
+    _opt("--min-run", int, 5),
+    _opt("--band-mode", default="gaussian"),
+    _PAIRS,
+]
+_LEVEL = _opt("--level", int)
+_SAMPLING = [
+    _opt("--samples", int, 2000),
+    _opt("--noise", float, 0.0),
+    _opt("--seed", int, 0),
+]
+
+# command -> (help, options)
+_COMMANDS = {
+    "sig": ("truncated signature", _SOURCE + [_LEVEL]),
+    "logsig": (
+        "log-signature coefficients",
+        _SOURCE
+        + [
+            _LEVEL,
+            _opt(
+                "--lyndon",
+                default=False,
+                action="store_true",
+                help="also list coefficients on the Lyndon words",
+            ),
+        ],
+    ),
+    "leadmatrix": ("pairwise signed-area matrix", _SOURCE + [_FORMAT]),
+    "slidearea": (
+        "sliding-window signed area, optionally against a shuffled null",
+        _WINDOWED,
+    ),
+    "influence": ("signature-derivative influence stream", _WINDOWED),
+    "xcorr": (
+        "lagged cross-correlation",
+        _SOURCE + [_FORMAT, _PAIRS, _opt("--lags", float, help="maximum lag")],
+    ),
+    "granger": (
+        "Granger VAR log variance ratio",
+        _SOURCE
+        + [
+            _opt("--caused", int),
+            _opt("--covariates", int, (), nargs="*"),
+            _opt("--order", int, 1),
+        ],
+    ),
+}
+
+# generator -> options, the subcommands of `pathsig gen`
+_GENERATORS = {
+    "lorenz": [
+        _OUTPUT,
+        _opt("--sigma", float, 10.0),
+        _opt("--rho", float, 28.0),
+        _opt("--beta", float, 8.0 / 3.0),
+        _opt("--x0", default="1,1,1", help="initial state x,y,z"),
+        _opt("--dt", float, 0.005),
+        _opt("--steps", int, 10000),
+        _opt("--thin", int, 1, help="keep every k-th sample"),
+    ],
+    "cyclic": [
+        _OUTPUT,
+        _opt("--n-events", int, 4),
+        _opt("--phase-lag", float, 0.25),
+        _opt(
+            "--warp-power",
+            float,
+            1.0,
+            help="reparametrize by t**p (1 = no warp)",
+        ),
+    ]
+    + _SAMPLING,
+    "events": [
+        _OUTPUT,
+        _opt(
+            "--events",
+            help="JSON file with a list of events "
+            '[{"time":..,"leader":..,"follower":..,...}]',
+        ),
+    ]
+    + _SAMPLING,
+}
+
+# string options checked after resolution, so that a bad value from the
+# environment is reported like a bad flag
+_CHOICES = {
+    "format": ("json", "csv"),
+    "normalize": ("per", "global", "none"),
+    "band_mode": ("gaussian", "quantile"),
+}
+
+
+def _add_command(sub, name: str, options: List[Option], help_=None) -> None:
+    p = sub.add_parser(name, help=help_)
+    for flags, kwargs in options:
+        p.add_argument(*flags, **kwargs)
+    p.set_defaults(parser=p)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pathsig",
+        description="Path-signature lead-lag and influence analysis.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"pathsig {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, options) in _COMMANDS.items():
+        _add_command(sub, name, options, help_)
+    gen = sub.add_parser("gen", help="write synthetic datasets as CSV")
+    gsub = gen.add_subparsers(dest="generator", required=True)
+    for name, options in _GENERATORS.items():
+        _add_command(gsub, name, options)
+    return parser
+
+
+def _options(parser: argparse.ArgumentParser) -> List[argparse.Action]:
+    """The options of one (sub)command, -h aside: what PATHSIG_* can set."""
+    return [
+        a
+        for a in parser._actions
+        if a.option_strings and a.default is not argparse.SUPPRESS
+    ]
 
 
 def _parse_bool(raw: str) -> bool:
@@ -152,9 +317,8 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_pairs(raw: str) -> Tuple[Tuple[int, int], ...]:
-    tokens = raw.replace(";", " ").split()
     pairs: List[Tuple[int, int]] = []
-    for tok in tokens:
+    for tok in raw.replace(";", " ").split():
         parts = tok.split(",")
         if len(parts) != 2:
             raise ValueError(f"pair {tok!r} is not of the form i,j")
@@ -164,274 +328,81 @@ def _parse_pairs(raw: str) -> Tuple[Tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _resolve(cli_value, env_name: str, cast: Callable[[str], object], default):
-    """CLI flag > PATHSIG_<env_name> > built-in default."""
-    if cli_value is not None:
-        return cli_value
-    raw = os.environ.get(ENV_PREFIX + env_name)
-    if raw is not None:
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"bad value for {ENV_PREFIX}{env_name}: {exc}"
-            ) from None
-    return default
+def _from_env(action: argparse.Action, name: str):
+    """PATHSIG_<DEST> cast like the flag; lists split on spaces or ';'."""
+    raw = os.environ[name]
+    try:
+        if action.nargs == 0:
+            return _parse_bool(raw)
+        cast = action.type or str
+        if action.nargs in ("+", "*"):
+            return [cast(tok) for tok in raw.replace(";", " ").split()]
+        return cast(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {name}: {exc}") from None
 
 
-def _choice(value: str, name: str, allowed: Tuple[str, ...]) -> str:
-    if value not in allowed:
-        raise ConfigError(
-            f"{name} must be one of {', '.join(allowed)}; got {value!r}"
-        )
-    return value
-
-
-# ---------------------------------------------------------------------------
-# parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pathsig",
-        description="Path-signature lead-lag and influence analysis.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"pathsig {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    io_p = argparse.ArgumentParser(add_help=False)
-    io_p.add_argument(
-        "input",
-        nargs="?",
-        default="-",
-        help="input CSV file, or - for stdin (default)",
-    )
-    io_p.add_argument("-o", "--output", help="output file (default stdout)")
-
-    fmt_p = argparse.ArgumentParser(add_help=False)
-    fmt_p.add_argument("--format", choices=("json", "csv"), default=None)
-
-    pre_p = argparse.ArgumentParser(add_help=False)
-    pre_p.add_argument("--smooth-sigma", type=float, default=None)
-    pre_p.add_argument(
-        "--center", action=argparse.BooleanOptionalAction, default=None
-    )
-    pre_p.add_argument("--normalize", default=None)
-    pre_p.add_argument(
-        "--prepend-zero", action=argparse.BooleanOptionalAction, default=None
-    )
-
-    win_p = argparse.ArgumentParser(add_help=False)
-    win_p.add_argument("--window", type=float, default=None)
-    win_p.add_argument("--stride", type=float, default=None)
-
-    null_p = argparse.ArgumentParser(add_help=False)
-    null_p.add_argument("--replicates", type=int, default=None)
-    null_p.add_argument("--seed", type=int, default=None)
-    null_p.add_argument("--sigmas", type=float, default=None)
-    null_p.add_argument("--min-run", type=int, default=None)
-    null_p.add_argument("--band-mode", default=None)
-
-    pairs_p = argparse.ArgumentParser(add_help=False)
-    pairs_p.add_argument(
-        "--pairs",
-        nargs="+",
-        default=None,
-        metavar="I,J",
-        help="channel pairs, e.g. --pairs 1,2 2,3",
-    )
-
-    p = sub.add_parser("sig", parents=[io_p, pre_p], help="truncated signature")
-    p.add_argument("--level", type=int, default=None)
-
-    p = sub.add_parser(
-        "logsig", parents=[io_p, pre_p], help="log-signature coefficients"
-    )
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument(
-        "--lyndon",
-        action="store_true",
-        help="also list coefficients on the Lyndon words",
-    )
-
-    sub.add_parser(
-        "leadmatrix",
-        parents=[io_p, pre_p, fmt_p],
-        help="pairwise signed-area matrix",
-    )
-
-    sub.add_parser(
-        "slidearea",
-        parents=[io_p, pre_p, fmt_p, win_p, null_p, pairs_p],
-        help="sliding-window signed area, optionally against a shuffled null",
-    )
-
-    sub.add_parser(
-        "influence",
-        parents=[io_p, pre_p, fmt_p, win_p, null_p, pairs_p],
-        help="signature-derivative influence stream",
-    )
-
-    p = sub.add_parser(
-        "xcorr",
-        parents=[io_p, pre_p, fmt_p, pairs_p],
-        help="lagged cross-correlation",
-    )
-    p.add_argument("--lags", type=float, default=None, help="maximum lag")
-
-    p = sub.add_parser(
-        "granger", parents=[io_p, pre_p], help="Granger VAR log variance ratio"
-    )
-    p.add_argument("--caused", type=int, default=None)
-    p.add_argument("--covariates", type=int, nargs="*", default=None)
-    p.add_argument("--order", type=int, default=None)
-
-    gen = sub.add_parser("gen", help="write synthetic datasets as CSV")
-    gsub = gen.add_subparsers(dest="generator", required=True)
-
-    out_p = argparse.ArgumentParser(add_help=False)
-    out_p.add_argument("-o", "--output", help="output file (default stdout)")
-
-    g = gsub.add_parser("lorenz", parents=[out_p])
-    g.add_argument("--sigma", type=float, default=10.0)
-    g.add_argument("--rho", type=float, default=28.0)
-    g.add_argument("--beta", type=float, default=8.0 / 3.0)
-    g.add_argument("--x0", default="1,1,1", help="initial state x,y,z")
-    g.add_argument("--dt", type=float, default=0.005)
-    g.add_argument("--steps", type=int, default=10000)
-    g.add_argument("--thin", type=int, default=1, help="keep every k-th sample")
-
-    g = gsub.add_parser("cyclic", parents=[out_p])
-    g.add_argument("--n-events", type=int, default=4)
-    g.add_argument("--phase-lag", type=float, default=0.25)
-    g.add_argument(
-        "--warp-power",
-        type=float,
-        default=1.0,
-        help="reparametrize by t**p (1 = no warp)",
-    )
-    g.add_argument("--samples", type=int, default=2000)
-    g.add_argument("--noise", type=float, default=0.0)
-    g.add_argument("--seed", type=int, default=0)
-
-    g = gsub.add_parser("events", parents=[out_p])
-    g.add_argument(
-        "--events",
-        default=None,
-        help="JSON file with a list of events "
-        '[{"time":..,"leader":..,"follower":..,...}]',
-    )
-    g.add_argument("--samples", type=int, default=2000)
-    g.add_argument("--noise", type=float, default=0.0)
-    g.add_argument("--seed", type=int, default=0)
-
-    return parser
+def _parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Parse twice: the first parse finds the command, whose PATHSIG_<DEST>
+    values then become its defaults for the second."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    env = {
+        a.dest: _from_env(a, ENV_PREFIX + a.dest.upper())
+        for a in _options(args.parser)
+        if ENV_PREFIX + a.dest.upper() in os.environ
+    }
+    if env:
+        args.parser.set_defaults(**env)
+        args = parser.parse_args(argv)
+    return args
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if command == "gen":
+    given = vars(args)
+    for dest, allowed in _CHOICES.items():
+        value = given.get(dest, allowed[0])
+        if value not in allowed:
+            raise ConfigError(
+                f"--{dest.replace('_', '-')} must be one of "
+                f"{', '.join(allowed)}; got {value!r}"
+            )
+    if args.command == "gen":
         return _gen_config(args)
-
-    def has(name: str) -> bool:
-        return hasattr(args, name)
-
-    fmt = "json"
-    if has("format"):
-        fmt = _choice(
-            _resolve(args.format, "FORMAT", str, "json"),
-            "--format",
-            ("json", "csv"),
-        )
-    pairs: Tuple[Tuple[int, int], ...] = ()
-    if has("pairs"):
-        raw = args.pairs if args.pairs is None else " ".join(args.pairs)
-        try:
-            resolved = _resolve(raw, "PAIRS", str, None)
-            pairs = _parse_pairs(resolved) if resolved is not None else ()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    cfg = RunConfig(
-        command=command,
-        input=args.input,
-        output=args.output,
-        fmt=fmt,
-        level=_resolve(getattr(args, "level", None), "LEVEL", int, None),
+    names = {f.name for f in fields(RunConfig)}
+    kwargs = {k: v for k, v in given.items() if k in names}
+    try:
+        raw = kwargs.get("pairs")
+        pairs = _parse_pairs(" ".join(raw)) if raw is not None else ()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    kwargs.update(
+        fmt=given.get("format", "json"),
         pairs=pairs,
-        window=_resolve(getattr(args, "window", None), "WINDOW", float, None),
-        stride=_resolve(getattr(args, "stride", None), "STRIDE", float, None),
-        replicates=_resolve(
-            getattr(args, "replicates", None), "REPLICATES", int, 0
-        ),
-        seed=_resolve(getattr(args, "seed", None), "SEED", int, None),
-        sigmas=_resolve(getattr(args, "sigmas", None), "SIGMAS", float, 3.0),
-        min_run=_resolve(getattr(args, "min_run", None), "MIN_RUN", int, 5),
-        band_mode=_choice(
-            _resolve(
-                getattr(args, "band_mode", None), "BAND_MODE", str, "gaussian"
-            ),
-            "--band-mode",
-            ("gaussian", "quantile"),
-        ),
-        smooth_sigma=_resolve(
-            args.smooth_sigma, "SMOOTH_SIGMA", float, None
-        ),
-        center=_resolve(args.center, "CENTER", _parse_bool, False),
-        normalize=_choice(
-            _resolve(args.normalize, "NORMALIZE", str, "none"),
-            "--normalize",
-            ("per", "global", "none"),
-        ),
-        prepend_zero=_resolve(
-            args.prepend_zero, "PREPEND_ZERO", _parse_bool, False
-        ),
-        lags=_resolve(getattr(args, "lags", None), "LAGS", float, None),
-        order=_resolve(getattr(args, "order", None), "ORDER", int, 1),
-        caused=getattr(args, "caused", None),
-        covariates=tuple(getattr(args, "covariates", None) or ()),
-        lyndon=bool(getattr(args, "lyndon", False)),
+        covariates=tuple(kwargs.get("covariates", ())),
     )
+    cfg = RunConfig(**kwargs)
     _validate_config(cfg)
     return cfg
 
 
 def _gen_config(args: argparse.Namespace) -> RunConfig:
-    gen: Dict[str, object] = {"name": args.generator}
-    if args.generator == "lorenz":
+    gen: Dict[str, object] = {
+        a.dest: getattr(args, a.dest)
+        for a in _options(args.parser)
+        if a.dest != "output"
+    }
+    gen["name"] = args.generator
+    if "x0" in gen:
         try:
-            x0 = tuple(float(v) for v in args.x0.split(","))
+            x0 = [float(v) for v in args.x0.split(",")]
         except ValueError:
             raise ConfigError(f"--x0 {args.x0!r} is not x,y,z") from None
         if len(x0) != 3:
             raise ConfigError("--x0 needs exactly three components")
-        if args.thin < 1:
-            raise ConfigError("--thin must be >= 1")
-        gen.update(
-            sigma=args.sigma,
-            rho=args.rho,
-            beta=args.beta,
-            x0=list(x0),
-            dt=args.dt,
-            steps=args.steps,
-            thin=args.thin,
-        )
-    elif args.generator == "cyclic":
-        gen.update(
-            n_events=args.n_events,
-            phase_lag=args.phase_lag,
-            warp_power=args.warp_power,
-            samples=args.samples,
-            noise=args.noise,
-            seed=args.seed,
-        )
-    else:
-        gen.update(
-            events=args.events, samples=args.samples,
-            noise=args.noise, seed=args.seed,
-        )
+        gen["x0"] = tuple(x0)
+    if gen.get("thin", 1) < 1:
+        raise ConfigError("--thin must be >= 1")
     return RunConfig(
         command="gen",
         output=args.output,
@@ -446,8 +417,6 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("--replicates must be 0 or at least 2")
     if cfg.replicates and cfg.seed is None:
         raise ConfigError("--seed is required when --replicates is set")
-    if cfg.command in ("sig", "logsig", "granger") and cfg.fmt != "json":
-        raise ConfigError(f"{cfg.command} writes JSON only")
     if cfg.command in ("slidearea", "influence", "xcorr") and not cfg.pairs:
         raise ConfigError("--pairs is required")
     if cfg.command == "slidearea":
@@ -467,14 +436,22 @@ def _validate_config(cfg: RunConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# execution
+# execution: each handler returns (kind, JSON payload thunk, CSV body thunk),
+# a thunk being None for a format the command does not write, and _emit
+# renders the one the config asks for. Library functions are named
+# at call time, never stored in a table, so that rebinding them on this
+# module (as a tracer does) reaches every command.
+
+Output = Tuple[str, Optional[Callable[[], dict]], Optional[Callable[[], str]]]
 
 
 def _load_input(cfg: RunConfig) -> Path:
-    if cfg.input is None or cfg.input == "-":
-        return load_path_csv(sys.stdin)
-    with open(cfg.input, "r", newline="") as fh:
-        return load_path_csv(fh)
+    source = sys.stdin.buffer if cfg.input in (None, "-") else cfg.input
+    return load_path_csv(source)
+
+
+def _prepared(cfg: RunConfig) -> Path:
+    return preprocess(_load_input(cfg), _preprocess_cfg(cfg))
 
 
 def _preprocess_cfg(cfg: RunConfig) -> PreprocessConfig:
@@ -486,39 +463,32 @@ def _preprocess_cfg(cfg: RunConfig) -> PreprocessConfig:
     )
 
 
-def _emit_bytes(data: bytes, output: Optional[str]) -> None:
-    if output is None or output == "-":
+def _emit(cfg: RunConfig, kind: str, payload, body) -> None:
+    # an artifact that drew randomness carries its seed
+    seed = cfg.seed if cfg.replicates or cfg.generator else None
+    if cfg.fmt == "csv":
+        meta = [f"kind={kind}", f"version={__version__}"]
+        if seed is not None:
+            meta.append(f"seed={seed}")
+        meta.append(
+            "config=" + canonical_json(cfg.to_dict()).decode("utf-8").strip()
+        )
+        data = ("".join(f"# {m}\n" for m in meta) + body()).encode("utf-8")
+    else:
+        data = canonical_json(artifact(kind, cfg.to_dict(), payload(), seed))
+    if cfg.output is None or cfg.output == "-":
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        with open(output, "wb") as fh:
+        with open(cfg.output, "wb") as fh:
             fh.write(data)
 
 
-def _csv_with_meta(
-    kind: str, cfg: RunConfig, body: str, seed: Optional[int] = None
-) -> bytes:
-    lines = [f"# kind={kind}", f"# version={__version__}"]
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    lines.append(
-        "# config=" + canonical_json(cfg.to_dict()).decode("utf-8").strip()
-    )
-    return ("\n".join(lines) + "\n" + body).encode("utf-8")
-
-
-def _cmd_sig(cfg: RunConfig) -> None:
-    a = preprocess(_load_input(cfg), _preprocess_cfg(cfg))
+def _cmd_signature(cfg: RunConfig) -> Output:
+    a = _prepared(cfg)
     result = signature(a, cfg.level if cfg.level is not None else 2)
-    _emit_bytes(
-        canonical_json(signature_artifact("signature", result, cfg.to_dict())),
-        cfg.output,
-    )
-
-
-def _cmd_logsig(cfg: RunConfig) -> None:
-    a = preprocess(_load_input(cfg), _preprocess_cfg(cfg))
-    result = signature(a, cfg.level if cfg.level is not None else 2)
+    if cfg.command == "sig":
+        return "signature", lambda: {"result": result.to_dict()}, None
     log_tensor = tensor_log(result.tensor)
     payload: Dict[str, object] = {
         "result": dict(
@@ -530,164 +500,101 @@ def _cmd_logsig(cfg: RunConfig) -> None:
             {"word": list(w), "coefficient": float(log_tensor.coefficient(w))}
             for w in lyndon_words(log_tensor.alphabet_size, log_tensor.level)
         ]
-    out = {"kind": "logsig", "version": __version__, "config": cfg.to_dict()}
-    out.update(payload)
-    _emit_bytes(canonical_json(out), cfg.output)
+    return "logsig", lambda: payload, None
 
 
-def _cmd_leadmatrix(cfg: RunConfig) -> None:
-    a = preprocess(_load_input(cfg), _preprocess_cfg(cfg))
-    matrix = lead_matrix(a)
-    if cfg.fmt == "json":
-        _emit_bytes(
-            canonical_json(lead_matrix_artifact(matrix, cfg.to_dict())),
-            cfg.output,
-        )
-    else:
-        _emit_bytes(
-            _csv_with_meta("leadmatrix", cfg, lead_matrix_csv(matrix)),
-            cfg.output,
-        )
-
-
-def _windowed_command(cfg: RunConfig, statistic_name: str) -> None:
-    raw = _load_input(cfg)
-    pre = _preprocess_cfg(cfg)
-    w = (
-        WindowSpec(length=cfg.window, stride=cfg.stride)
-        if cfg.window is not None
-        else None
+def _cmd_leadmatrix(cfg: RunConfig) -> Output:
+    matrix = lead_matrix(_prepared(cfg))
+    return (
+        "leadmatrix",
+        lambda: {"result": matrix.to_dict()},
+        lambda: lead_matrix_csv(matrix),
     )
-    if statistic_name == "signed_area" and w is None:
-        raise ConfigError("slidearea needs --window and --stride")
 
-    def stat_for(pair: Tuple[int, int]):
-        if statistic_name == "signed_area":
-            return lambda p, win: sliding_signed_area(p, pair, win)
-        return lambda p, win: sliding_signature_derivative(p, pair, win)
 
-    kind = "slidearea" if statistic_name == "signed_area" else "influence"
-    if cfg.replicates:
-        spec = NullModelSpec(
-            replicates=cfg.replicates,
-            seed=cfg.seed,
-            band_sigmas=cfg.sigmas,
-            min_run_length=cfg.min_run,
-            band_mode=cfg.band_mode,
-        )
-        reports = [
-            shuffle_null(
-                raw,
-                stat_for(pair),
-                spec,
-                w=w,
-                preprocess_cfg=pre,
-                statistic_name=statistic_name,
-                pair=pair,
-            )
-            for pair in cfg.pairs
-        ]
-        if cfg.fmt == "json":
-            _emit_bytes(
-                canonical_json(reports_artifact(kind, reports, cfg.to_dict())),
-                cfg.output,
-            )
-        else:
-            _emit_bytes(
-                _csv_with_meta(kind, cfg, reports_csv(reports), seed=cfg.seed),
-                cfg.output,
-            )
-        return
-    a = preprocess(raw, pre)
-    curves = []
-    for pair in cfg.pairs:
-        times, values = stat_for(pair)(a, w)
-        curves.append((statistic_name, pair, times, values))
-    if cfg.fmt == "json":
-        _emit_bytes(
-            canonical_json(curves_artifact(kind, curves, cfg.to_dict())),
-            cfg.output,
-        )
+def _curves(cfg: RunConfig, kind: str, name: str, statistic) -> Output:
+    """One curve per pair from statistic(path, pair) -> (times, values)."""
+    a = _prepared(cfg)
+    curves = [(name, pair, *statistic(a, pair)) for pair in cfg.pairs]
+
+    def payload() -> dict:
+        return {
+            "curves": [
+                {
+                    "statistic": name,
+                    "pair": list(pair),
+                    "times": [float(t) for t in times],
+                    "values": [float(v) for v in vals],
+                }
+                for name, pair, times, vals in curves
+            ]
+        }
+
+    return kind, payload, lambda: curves_csv(curves)
+
+
+def _windowed_command(cfg: RunConfig, kind: str) -> Output:
+    if kind == "slidearea":
+        name, sliding = "signed_area", sliding_signed_area
     else:
-        _emit_bytes(_csv_with_meta(kind, cfg, curves_csv(curves)), cfg.output)
-
-
-def _cmd_xcorr(cfg: RunConfig) -> None:
-    a = preprocess(_load_input(cfg), _preprocess_cfg(cfg))
-    curves = []
-    for pair in cfg.pairs:
-        lags, values = cross_correlation(a, pair, cfg.lags)
-        curves.append(("xcorr", pair, lags, values))
-    if cfg.fmt == "json":
-        _emit_bytes(
-            canonical_json(curves_artifact("xcorr", curves, cfg.to_dict())),
-            cfg.output,
+        name, sliding = "signature_derivative", sliding_signature_derivative
+    w = WindowSpec(cfg.window, cfg.stride) if cfg.window is not None else None
+    if not cfg.replicates:
+        return _curves(cfg, kind, name, lambda a, pair: sliding(a, pair, w))
+    raw = _load_input(cfg)
+    spec = NullModelSpec(
+        replicates=cfg.replicates,
+        seed=cfg.seed,
+        band_sigmas=cfg.sigmas,
+        min_run_length=cfg.min_run,
+        band_mode=cfg.band_mode,
+    )
+    reports = [
+        shuffle_null(
+            raw,
+            lambda p, win, pair=pair: sliding(p, pair, win),
+            spec,
+            w=w,
+            preprocess_cfg=_preprocess_cfg(cfg),
+            statistic_name=name,
+            pair=pair,
         )
-    else:
-        _emit_bytes(
-            _csv_with_meta("xcorr", cfg, curves_csv(curves)), cfg.output
-        )
+        for pair in cfg.pairs
+    ]
+    return (
+        kind,
+        lambda: {"reports": [r.to_dict() for r in reports]},
+        lambda: reports_csv(reports),
+    )
 
 
-def _cmd_granger(cfg: RunConfig) -> None:
-    a = preprocess(_load_input(cfg), _preprocess_cfg(cfg))
-    c = granger_var(a, cfg.caused, cfg.covariates, cfg.order)
+def _cmd_xcorr(cfg: RunConfig) -> Output:
+    return _curves(
+        cfg,
+        "xcorr",
+        "xcorr",
+        lambda a, pair: cross_correlation(a, pair, cfg.lags),
+    )
+
+
+def _cmd_granger(cfg: RunConfig) -> Output:
+    c = granger_var(_prepared(cfg), cfg.caused, cfg.covariates, cfg.order)
     result = {
         "C": float(c),
         "caused": cfg.caused,
         "covariates": list(cfg.covariates),
         "order": cfg.order,
     }
-    _emit_bytes(
-        canonical_json(scalar_artifact("granger", result, cfg.to_dict())),
-        cfg.output,
-    )
+    return "granger", lambda: {"result": result}, None
 
 
-def _load_events(source: Optional[str]) -> Sequence[Event]:
-    if source is None:
-        return default_three_channel_events()
-    with open(source, "r") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CsvFormatError(f"events file: {exc}") from None
-    if not isinstance(raw, list) or not raw:
-        raise CsvFormatError("events file must hold a non-empty JSON list")
-    events = []
-    for k, item in enumerate(raw):
-        try:
-            event = Event(**item)
-        except TypeError as exc:
-            raise CsvFormatError(f"event {k}: {exc}") from None
-        for f in fields(Event):
-            value = getattr(event, f.name)
-            integer = f.name in ("leader", "follower")
-            if isinstance(value, bool) or not isinstance(
-                value, int if integer else (int, float)
-            ):
-                kind = "an integer" if integer else "a number"
-                raise CsvFormatError(
-                    f"event {k}: {f.name} must be {kind}, got {value!r}"
-                )
-        events.append(event)
-    return events
-
-
-def _cmd_gen(cfg: RunConfig) -> None:
-    gen = dict(cfg.generator or {})
-    name = gen.pop("name")
+def _cmd_gen(cfg: RunConfig) -> Output:
+    gen = cfg.generator or {}
+    name = gen["name"]
     if name == "lorenz":
-        thin = int(gen.pop("thin"))
-        params = LorenzParams(
-            sigma=gen["sigma"],
-            rho=gen["rho"],
-            beta=gen["beta"],
-            x0=tuple(gen["x0"]),
-            dt=gen["dt"],
-            steps=gen["steps"],
-        )
-        a = lorenz(params)
+        keys = ("sigma", "rho", "beta", "x0", "dt", "steps")
+        a = lorenz(LorenzParams(**{k: gen[k] for k in keys}))
+        thin = int(gen["thin"])
         if thin > 1:
             a = Path(a.times[::thin], a.values[::thin], a.channel_names)
     elif name == "cyclic":
@@ -704,24 +611,24 @@ def _cmd_gen(cfg: RunConfig) -> None:
             seed=gen["seed"],
         )
     else:
+        events = default_three_channel_events()
+        if gen["events"] is not None:
+            events = load_events(gen["events"])
         a = three_channel_event_series(
-            _load_events(gen["events"]),
+            events,
             samples=gen["samples"],
             noise_sigma=gen["noise"],
             seed=gen["seed"],
         )
-    body = path_to_csv(a)
-    _emit_bytes(
-        _csv_with_meta(f"dataset:{name}", cfg, body, seed=cfg.seed), cfg.output
-    )
+    return f"dataset:{name}", None, lambda: path_to_csv(a)
 
 
-_HANDLERS: Dict[str, Callable[[RunConfig], None]] = {
-    "sig": _cmd_sig,
-    "logsig": _cmd_logsig,
+_HANDLERS: Dict[str, Callable[[RunConfig], Output]] = {
+    "sig": _cmd_signature,
+    "logsig": _cmd_signature,
     "leadmatrix": _cmd_leadmatrix,
-    "slidearea": lambda c: _windowed_command(c, "signed_area"),
-    "influence": lambda c: _windowed_command(c, "signature_derivative"),
+    "slidearea": lambda c: _windowed_command(c, "slidearea"),
+    "influence": lambda c: _windowed_command(c, "influence"),
     "xcorr": _cmd_xcorr,
     "granger": _cmd_granger,
     "gen": _cmd_gen,
@@ -730,22 +637,15 @@ _HANDLERS: Dict[str, Callable[[RunConfig], None]] = {
 
 def run(cfg: RunConfig) -> int:
     """Execute one command; raises on failure, returns 0 on success."""
-    _HANDLERS[cfg.command](cfg)
+    _emit(cfg, *_HANDLERS[cfg.command](cfg))
     return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        return run(_config_from_args(_parse_args(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        cfg = _config_from_args(args)
-        return run(cfg)
-    except ConfigError as exc:
-        print(f"pathsig: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CsvFormatError as exc:
         print(f"pathsig: bad input: {exc}", file=sys.stderr)
         return EXIT_DATA

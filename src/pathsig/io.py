@@ -8,36 +8,45 @@ byte-identical and diffs meaningful.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _io
 import json
-from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import fields
+from typing import (
+    IO,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from . import __version__
 from .causality import SignificanceReport
+from .dynamics import Event
 from .leadlag import LeadMatrix
 from .path_core import Path
-from .signature import SignatureResult
 
 __all__ = [
     "CsvFormatError",
+    "utf8_text",
     "load_path_csv",
+    "load_events",
     "path_to_csv",
     "canonical_json",
     "artifact",
-    "signature_artifact",
-    "lead_matrix_artifact",
     "lead_matrix_csv",
     "reports_artifact",
     "reports_csv",
-    "curves_artifact",
     "curves_csv",
-    "scalar_artifact",
 ]
 
-Source = Union[str, IO[str]]
+Source = Union[str, IO[str], IO[bytes]]
 
 
 class CsvFormatError(ValueError):
@@ -48,15 +57,46 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@contextlib.contextmanager
+def utf8_text(source: Source) -> Iterator[IO[str]]:
+    """A filename or binary stream as strictly decoded UTF-8 text.
+
+    Anything else (a text stream) is passed through as it is. Decoding is
+    incremental, so the input is never held whole; bytes that are not UTF-8
+    raise CsvFormatError wherever in the input they occur.
+    """
+    if isinstance(source, str):
+        text = open(source, "r", encoding="utf-8", newline="")
+    elif isinstance(source, (_io.BufferedIOBase, _io.RawIOBase)):
+        text = _io.TextIOWrapper(source, encoding="utf-8", newline="")
+    else:
+        text = source
+    try:
+        yield text
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise CsvFormatError(
+            f"not valid UTF-8: byte 0x{bad:02x} ({exc.reason})"
+        ) from None
+    finally:
+        if isinstance(source, str):
+            text.close()
+        elif text is not source:
+            text.detach()  # leave the caller's stream open
+
+
 def load_path_csv(source: Source) -> Path:
     """Read a path from CSV: header row, time in column 1, channels after.
 
-    Accepts a filename or an open text stream. Errors carry 1-based row and
+    Accepts a filename, an open text stream or a binary stream; bytes are
+    decoded as strict UTF-8 (see utf8_text). Errors carry 1-based row and
     column positions so a bad cell in a large file can be found directly.
     """
-    if isinstance(source, str):
-        with open(source, "r", newline="") as fh:
-            return load_path_csv(fh)
+    with utf8_text(source) as text:
+        return _parse_path_csv(text)
+
+
+def _parse_path_csv(source: IO[str]) -> Path:
     reader = csv.reader(source)
     header = None
     for row in reader:
@@ -101,6 +141,39 @@ def load_path_csv(source: Source) -> Path:
         raise CsvFormatError(str(exc)) from None
 
 
+def load_events(source: Source) -> List[Event]:
+    """Read a JSON list of events, checking each field's type.
+
+    Each item holds the keyword arguments of one Event; leader and follower
+    must be integers and the other fields numbers (bools are neither).
+    """
+    with utf8_text(source) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CsvFormatError(f"events file: {exc}") from None
+    if not isinstance(raw, list) or not raw:
+        raise CsvFormatError("events file must hold a non-empty JSON list")
+    events = []
+    for k, item in enumerate(raw):
+        try:
+            event = Event(**item)
+        except TypeError as exc:
+            raise CsvFormatError(f"event {k}: {exc}") from None
+        for f in fields(Event):
+            value = getattr(event, f.name)
+            integer = f.name in ("leader", "follower")
+            if isinstance(value, bool) or not isinstance(
+                value, int if integer else (int, float)
+            ):
+                kind = "an integer" if integer else "a number"
+                raise CsvFormatError(
+                    f"event {k}: {f.name} must be {kind}, got {value!r}"
+                )
+        events.append(event)
+    return events
+
+
 def path_to_csv(a: Path) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -129,14 +202,6 @@ def artifact(
         out["seed"] = int(seed)
     out.update(payload)
     return out
-
-
-def signature_artifact(kind: str, result: SignatureResult, config: dict) -> dict:
-    return artifact(kind, config, {"result": result.to_dict()})
-
-
-def lead_matrix_artifact(matrix: LeadMatrix, config: dict) -> dict:
-    return artifact("leadmatrix", config, {"result": matrix.to_dict()})
 
 
 def lead_matrix_csv(matrix: LeadMatrix) -> str:
@@ -199,21 +264,6 @@ def reports_csv(reports: Sequence[SignificanceReport]) -> str:
 Curve = Tuple[str, Tuple[int, int], np.ndarray, np.ndarray]
 
 
-def curves_artifact(kind: str, curves: Iterable[Curve], config: dict) -> dict:
-    payload = {
-        "curves": [
-            {
-                "statistic": name,
-                "pair": list(pair),
-                "times": [float(t) for t in times],
-                "values": [float(v) for v in vals],
-            }
-            for name, pair, times, vals in curves
-        ]
-    }
-    return artifact(kind, config, payload)
-
-
 def curves_csv(curves: Iterable[Curve]) -> str:
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -222,7 +272,3 @@ def curves_csv(curves: Iterable[Curve]) -> str:
         for t, v in zip(times, vals):
             writer.writerow([name, i, j, _fmt(t), _fmt(v)])
     return buf.getvalue()
-
-
-def scalar_artifact(kind: str, values: dict, config: dict) -> dict:
-    return artifact(kind, config, {"result": values})

@@ -246,7 +246,9 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
 
     sigma is in time units; the kernel is truncated at +-3 sigma and
     renormalized, and channels are reflect-padded at the boundaries.
-    Requires a uniform time grid. sigma = 0 is the identity.
+    Requires a uniform time grid. sigma = 0 is the identity. A kernel of
+    more than signature.MAX_COEFFICIENTS samples is refused before it is
+    built.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -254,8 +256,16 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
         return a
     if not a.is_uniform():
         raise ValueError("gaussian_smooth requires a uniform time grid")
+    from .signature import MAX_COEFFICIENTS  # signature imports this module
+
     dt = float(a.times[1] - a.times[0])
-    radius = int(np.floor(3.0 * sigma / dt + 1e-12))
+    radius = np.floor(3.0 * sigma / dt + 1e-12)
+    if 2 * radius + 1 > MAX_COEFFICIENTS:
+        raise ValueError(
+            f"a smoothing kernel of {2 * radius + 1:.3g} samples is over "
+            f"the cap of {MAX_COEFFICIENTS}"
+        )
+    radius = int(radius)
     if radius == 0:
         return a
     offsets = np.arange(-radius, radius + 1) * dt

@@ -92,6 +92,31 @@ def test_window_longer_than_series_raises(rng):
         sliding_signed_area(a, (1, 2), WindowSpec(100.0, 1.0))
 
 
+@pytest.mark.parametrize("length", [0.3, 0.7, 1.7])
+def test_strides_below_half_dt_start_a_window_at_every_sample(rng, length):
+    # 0.51 dt still walks the stride grid; below dt/2 the starts are taken
+    # as every sample without building the grid
+    a = random_path(rng, n_samples=40, n_channels=2)
+    a = Path(0.1 * a.times - 2.0, a.values)
+    grid = WindowSpec(length, 0.051)
+    want = sliding_signed_area(a, (1, 2), grid)
+    want_d = sliding_signature_derivative(a, (1, 2), grid)
+    assert want[0].size == 40 - round(length / 0.1)
+    for stride in (0.049, 0.01, 1e-12):
+        w = WindowSpec(length, stride)
+        got = sliding_signed_area(a, (1, 2), w)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        got = sliding_signature_derivative(a, (1, 2), w)
+        assert np.array_equal(got[1], want_d[1])
+
+
+def test_too_many_nonuniform_windows_raise_before_allocating(rng):
+    a = random_path(rng, n_samples=20, n_channels=2, uniform=False)
+    with pytest.raises(ValueError, match="over the cap"):
+        sliding_signed_area(a, (1, 2), WindowSpec(1.0, a.duration * 1e-7))
+
+
 def test_commensurate_circle_windows_are_constant():
     a = circle_pair(periods=2.0, per_period=400)
     times, areas = sliding_signed_area(a, (1, 2), WindowSpec(1.0, 0.05))

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import os
+import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +17,7 @@ from pathsig.cli import (
     EXIT_DATA,
     EXIT_IO,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from pathsig.io import (
@@ -22,6 +27,10 @@ from pathsig.io import (
     path_to_csv,
 )
 from conftest import random_path
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+UNIFORM = str(GOLDEN / "gen_events.csv")  # 3 channels, dt = 1/255
+NON_UNIFORM = str(GOLDEN / "path_n3.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +170,82 @@ def test_signature_over_size_cap_is_config_error(tmp_path, capsys):
     assert peak < 2**20
     err = capsys.readouterr().err
     assert "over the cap" in err and err.count("\n") == 1
+
+
+def _peak_of_main(argv):
+    """Exit code of main(argv) and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["influence", NON_UNIFORM, "--pairs", "1,2", "--window", "5",
+             "--stride", "1e-7"],
+            "windows, over the cap",
+        ),
+        (
+            ["slidearea", UNIFORM, "--pairs", "1,2", "--window", "0.1",
+             "--stride", "0.05", "--smooth-sigma", "1e9"],
+            "smoothing kernel of 1.53e+12 samples is over the cap",
+        ),
+    ],
+    ids=["time-windows", "smoothing-kernel"],
+)
+def test_oversized_allocation_is_config_error(argv, message, capsys):
+    code, peak = _peak_of_main(argv)
+    assert code == EXIT_CONFIG
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+def test_stride_far_below_dt_starts_a_window_at_every_sample(capsys):
+    common = ["slidearea", UNIFORM, "--pairs", "1,2", "--window", "0.1",
+              "--smooth-sigma", "0"]
+    code, peak = _peak_of_main(common + ["--stride", "1e-9"])
+    assert code == 0 and peak < 2**20
+    tiny = json.loads(capsys.readouterr().out)
+    assert main(common + ["--stride", "0.003"]) == 0  # ~0.77 dt
+    grid = json.loads(capsys.readouterr().out)
+    assert tiny["curves"] == grid["curves"]
+    assert len(tiny["curves"][0]["times"]) == 256 - 26  # one per start
+
+
+@pytest.mark.parametrize("where", ["cell", "header"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_is_data_error(source, where, tmp_path, capsys,
+                                      monkeypatch):
+    body = b"t,a,b\n0,0,0\n1,1,2\n2,3,1\n"
+    body = body.replace(b"2,3,1", b"2,\xff,1") if where == "cell" else (
+        body.replace(b"t,a,b", b"t,\xff,b"))
+    f = tmp_path / "in.csv"
+    f.write_bytes(body)
+    for argv in (["sig"], ["leadmatrix", "--format", "csv"]):
+        if source == "file":
+            argv = argv + [str(f)]
+        else:
+            stdin = io.TextIOWrapper(io.BytesIO(body))
+            monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "pathsig: bad input: not valid UTF-8: byte 0xff " \
+            "(invalid start byte)\n"
+
+
+def test_non_utf8_events_file_is_data_error(tmp_path, capsys):
+    ev = tmp_path / "ev.json"
+    ev.write_bytes(b'[{"time": 0.4, "leader": 2, "follower": 1, "x": "\xff"}]')
+    assert main(["gen", "events", "--events", str(ev)]) == EXIT_DATA
+    assert "not valid UTF-8" in capsys.readouterr().err
 
 
 def test_window_longer_than_series_is_config_error(tmp_path, capsys):
@@ -325,28 +410,58 @@ def test_gen_events_rejects_non_numeric_field(tmp_path, capsys, event):
 # environment overrides
 
 
+def _json_out(capsys) -> dict:
+    return json.loads(capsys.readouterr().out)
+
+
 def test_env_provides_default(tmp_path, capsys, monkeypatch):
     f = write_csv(tmp_path)
     monkeypatch.setenv("PATHSIG_LEVEL", "3")
     assert main(["sig", f]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _json_out(capsys)
     assert doc["config"]["level"] == 3
     assert len(doc["result"]["levels"]) == 4
+    monkeypatch.setenv("PATHSIG_SAMPLES", "40")
+    monkeypatch.setenv("PATHSIG_N_EVENTS", "2")
+    assert main(["gen", "cyclic"]) == 0
+    out = capsys.readouterr().out
+    assert '"n_events":2' in out and '"samples":40' in out
+    assert load_path_csv(io.StringIO(out)).n_samples == 40
+    monkeypatch.setenv("PATHSIG_LYNDON", "yes")
+    assert main(["logsig", f]) == 0
+    assert "lyndon" in _json_out(capsys)
 
 
 def test_cli_flag_beats_env(tmp_path, capsys, monkeypatch):
     f = write_csv(tmp_path)
     monkeypatch.setenv("PATHSIG_LEVEL", "3")
     assert main(["sig", f, "--level", "2"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _json_out(capsys)
     assert doc["config"]["level"] == 2
+    monkeypatch.setenv("PATHSIG_CENTER", "true")
+    monkeypatch.setenv("PATHSIG_PAIRS", "2,1")
+    argv = ["xcorr", f, "--no-center", "--pairs", "1,2", "--lags", "1"]
+    assert main(argv) == 0
+    config = _json_out(capsys)["config"]
+    assert config["pairs"] == [[1, 2]]
+    assert config["preprocess"]["center"] is False
 
 
 def test_bad_env_value_is_config_error(tmp_path, capsys, monkeypatch):
     f = write_csv(tmp_path)
-    monkeypatch.setenv("PATHSIG_LEVEL", "many")
-    assert main(["sig", f]) == EXIT_CONFIG
-    assert "PATHSIG_LEVEL" in capsys.readouterr().err
+    cases = [
+        ("PATHSIG_LEVEL", "many", ["sig", f]),
+        ("PATHSIG_CAUSED", "b", ["granger", f]),
+        ("PATHSIG_COVARIATES", "1;x", ["granger", f, "--caused", "2"]),
+        ("PATHSIG_LYNDON", "maybe", ["logsig", f]),
+        ("PATHSIG_N_EVENTS", "four", ["gen", "cyclic"]),
+    ]
+    for name, value, argv in cases:
+        monkeypatch.setenv(name, value)
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"pathsig: config error: bad value for {name}:")
+        monkeypatch.delenv(name)
 
 
 def test_env_can_satisfy_required_seed(tmp_path, capsys, monkeypatch):
@@ -362,8 +477,118 @@ def test_env_can_satisfy_required_seed(tmp_path, capsys, monkeypatch):
         ]
     )
     assert code == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _json_out(capsys)
     assert doc["seed"] == 11
+    monkeypatch.setenv("PATHSIG_CAUSED", "2")
+    assert main(["granger", f]) == 0
+    assert _json_out(capsys)["result"]["caused"] == 2
+
+
+def _commands(parser, prefix=()):
+    """(argv prefix, parser) for every leaf (sub)command of the CLI."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, prefix + (name,))
+            return
+    yield prefix, parser
+
+
+def _options(parser):
+    return [
+        a for a in parser._actions
+        if a.option_strings and a.default is not argparse.SUPPRESS
+    ]
+
+
+COMMANDS = dict(_commands(build_parser()))
+
+# a value for every option dest; each differs from the built-in default
+ENV_VALUES = {
+    "format": "csv", "smooth_sigma": "0.01", "center": "yes",
+    "normalize": "per", "prepend_zero": "on", "level": "3", "lyndon": "true",
+    "window": "0.2", "stride": "0.1", "replicates": "4", "seed": "3",
+    "sigmas": "2", "min_run": "2", "band_mode": "quantile",
+    "pairs": "1,2;2,3", "lags": "0.05", "caused": "2", "covariates": "2;3",
+    "order": "2", "sigma": "9", "rho": "20", "beta": "2", "x0": "0.5,1,2",
+    "dt": "0.01", "steps": "30", "thin": "2", "n_events": "3",
+    "phase_lag": "0.1", "warp_power": "2", "samples": "40", "noise": "0.1",
+}
+
+
+def _env_values(tmp_path) -> dict:
+    events = tmp_path / "ev.json"
+    events.write_text('[{"time": 0.4, "leader": 2, "follower": 1}]')
+    return dict(ENV_VALUES, output=str(tmp_path / "out"), events=str(events))
+
+
+def _flag(action, value: str) -> list:
+    if action.nargs == 0:
+        return [action.option_strings[0]]
+    if action.nargs in ("+", "*"):
+        return [action.option_strings[-1]] + value.replace(";", " ").split()
+    return [action.option_strings[-1], value]
+
+
+def _run(argv, env, out_file, monkeypatch, capsysbinary):
+    """(exit code, stdout, output file) of one in-process run; the input
+    CSV, where the command reads one, comes from stdin."""
+    for name in [n for n in os.environ if n.startswith("PATHSIG_")]:
+        monkeypatch.delenv(name)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    stdin = io.TextIOWrapper(io.BytesIO(pathlib.Path(UNIFORM).read_bytes()))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    out_file.unlink(missing_ok=True)
+    code = main(argv)
+    written = out_file.read_bytes() if out_file.exists() else None
+    return code, capsysbinary.readouterr().out, written
+
+
+@pytest.mark.parametrize("command", [" ".join(c) for c in COMMANDS])
+def test_env_reaches_every_option(command, tmp_path, monkeypatch,
+                                  capsysbinary):
+    """PATHSIG_<DEST> acts like the flag, for each option of each command."""
+    parser = COMMANDS[tuple(command.split())]
+    values = _env_values(tmp_path)
+    base = command.split()
+    actions = _options(parser)
+    assert {a.dest for a in actions} <= values.keys()
+    out_file = pathlib.Path(values["output"])
+
+    def run(skip, env):
+        flags = [_flag(a, values[a.dest]) for a in actions if a is not skip]
+        argv = base + [f for flag in flags for f in flag]
+        return _run(argv, env, out_file, monkeypatch, capsysbinary)
+
+    by_flag = run(None, {})
+    assert by_flag[0] == 0
+    for action in actions:
+        name = "PATHSIG_" + action.dest.upper()
+        assert run(action, {name: values[action.dest]}) == by_flag, name
+        assert run(action, {}) != by_flag, f"{name} does not show"
+
+
+@pytest.mark.parametrize("command", [" ".join(c) for c in COMMANDS])
+def test_env_for_options_a_command_lacks_is_ignored(
+    command, tmp_path, monkeypatch, capsysbinary
+):
+    parser = COMMANDS[tuple(command.split())]
+    values = _env_values(tmp_path)
+    base = command.split()
+    own = {a.dest for a in _options(parser)}
+    every = {a.dest for p in COMMANDS.values() for a in p._actions}
+    foreign = {
+        "PATHSIG_" + d.upper(): "bogus"
+        for d in every | {"command", "generator", "version"} if d not in own
+    }
+    assert "PATHSIG_LEVEL" in foreign or "level" in own
+    flags = [_flag(a, values[a.dest]) for a in _options(parser)]
+    argv = base + [f for flag in flags for f in flag]
+    out_file = pathlib.Path(values["output"])
+    plain = _run(argv, {}, out_file, monkeypatch, capsysbinary)
+    assert plain[0] == 0
+    assert _run(argv, foreign, out_file, monkeypatch, capsysbinary) == plain
 
 
 # ---------------------------------------------------------------------------

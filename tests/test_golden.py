@@ -50,7 +50,9 @@ CASES = {
     "gen_events": ["gen", "events", "--samples", "256", "--noise", "0.02",
                    "--seed", "4"],
     "leadmatrix_events": ["leadmatrix", "gen_events.csv"],
-    "leadmatrix_events_csv": ["leadmatrix", "gen_events.csv", "--format", "csv"],
+    "leadmatrix_events_csv": [
+        "leadmatrix", "gen_events.csv", "--format", "csv",
+    ],
     "slidearea_events": [
         "slidearea", "gen_events.csv", "--pairs", "1,2", "2,3",
         "--window", "0.2", "--stride", "0.05", "--smooth-sigma", "0.01",
@@ -69,12 +71,16 @@ CASES = {
         "influence", "gen_events.csv", "--pairs", "1,2", "--window", "0.2",
         "--stride", "0.05", "--replicates", "20", "--seed", "5",
     ],
-    "xcorr_cyclic": ["xcorr", "gen_cyclic.csv", "--pairs", "1,2", "--lags", "0.1"],
+    "xcorr_cyclic": [
+        "xcorr", "gen_cyclic.csv", "--pairs", "1,2", "--lags", "0.1",
+    ],
     "xcorr_cyclic_csv": [
         "xcorr", "gen_cyclic.csv", "--pairs", "1,2", "2,1", "--lags", "0.1",
         "--format", "csv",
     ],
-    "granger_lorenz": ["granger", "gen_lorenz.csv", "--caused", "2", "--order", "2"],
+    "granger_lorenz": [
+        "granger", "gen_lorenz.csv", "--caused", "2", "--order", "2",
+    ],
     "slidearea_n3": [
         "slidearea", "path_n3.csv", "--pairs", "1,2", "1,3", "--window", "5",
         "--stride", "2", "--smooth-sigma", "0", "--replicates", "20",
@@ -95,7 +101,8 @@ TEXT_COLUMNS = KEY_COLUMNS + ("significant", "")
 
 def _suffix(name: str) -> str:
     """Datasets and the `_csv` cases are CSV artifacts, the rest JSON."""
-    return ".csv" if name.startswith("gen_") or name.endswith("_csv") else ".json"
+    csv_out = name.startswith("gen_") or name.endswith("_csv")
+    return ".csv" if csv_out else ".json"
 
 
 def _skeleton(doc):
