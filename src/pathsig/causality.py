@@ -3,22 +3,25 @@
 The core procedure: slide a window along the series, compute the signed
 area (or the signature-derivative influence stream) per window, then
 calibrate pointwise significance bands by re-running the identical pipeline
-on per-channel time-shuffled copies of the raw data. Cross-correlation and
-a VAR-based Granger measure are provided as the classical baselines the
-signed-area statistic is contrasted against.
+on per-channel time-shuffled copies of the raw data. Each window value is
+a difference of one prefix sum over the samples (of the cross terms for
+the area, of the stream integral for influence), so a window costs O(1) on
+uniform and non-uniform grids alike. Cross-correlation and a VAR-based
+Granger measure are provided as the classical baselines the signed-area
+statistic is contrasted against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .leadlag import _signed_area_xy
 from .path_core import Path, PreprocessConfig, preprocess
 from .signature import MAX_COEFFICIENTS, signature_derivative
+from .signature import signature_derivative_integral
 
 __all__ = [
     "WindowSpec",
@@ -170,46 +173,22 @@ def _index_windows(a: Path, dt: float, w: WindowSpec) -> Tuple[np.ndarray, np.nd
     return k1, k1 + n_seg
 
 
-def _time_windows(a: Path, w: WindowSpec) -> List[Tuple[float, float]]:
-    """Window boundaries on the stride grid for non-uniform sampling."""
-    t0 = float(a.times[0])
+def _time_windows(a: Path, w: WindowSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Window (start, end) time arrays on the stride grid, ends clipped."""
     t_end = float(a.times[-1])
     tol = 1e-9 * max(1.0, a.duration)
-    if w.length > a.duration + tol:
-        raise ValueError("window is longer than the series")
     count = (a.duration + tol - w.length) / w.stride + 1
     if count > MAX_COEFFICIENTS:
         raise ValueError(
             f"stride {w.stride:g} gives {count:.3g} windows, "
             f"over the cap of {MAX_COEFFICIENTS}"
         )
-    bounds = []
-    m = 0
-    while True:
-        ws = t0 + m * w.stride
-        we = ws + w.length
-        if we > t_end + tol:
-            break
-        bounds.append((ws, min(we, t_end)))
-        m += 1
-    return bounds
-
-
-def _window_slice(
-    a: Path, channel: int, ws: float, we: float
-) -> np.ndarray:
-    """Channel values of the window restriction, interpolating boundaries."""
-    times = a.times
-    col = a.channel(channel)
-    lo = int(np.searchsorted(times, ws, side="left"))
-    hi = int(np.searchsorted(times, we, side="right"))
-    parts = []
-    if lo == hi or times[lo] > ws:
-        parts.append([np.interp(ws, times, col)])
-    parts.append(col[lo:hi])
-    if hi == lo or times[hi - 1] < we:
-        parts.append([np.interp(we, times, col)])
-    return np.concatenate(parts)
+    ws = float(a.times[0]) + np.arange(int(max(count, 0.0)) + 1) * w.stride
+    we = ws + w.length
+    keep = we <= t_end + tol
+    if not keep.any():
+        raise ValueError("window is longer than the series")
+    return ws[keep], np.minimum(we[keep], t_end)
 
 
 def sliding_signed_area(
@@ -218,38 +197,38 @@ def sliding_signed_area(
     """Signed area of (i, j) over each sliding window, about the window start.
 
     Windows start on the stride grid and are stamped at their centers. On a
-    uniform grid both length and starts snap to the sample grid and every
-    window is evaluated in O(1) from prefix sums; otherwise the window
-    restriction (with interpolated boundary samples) is evaluated directly.
+    uniform grid both length and starts snap to the sample grid; otherwise
+    the window runs between boundary vertices interpolated at its exact
+    start and end times. Either way each window costs O(1) from one prefix
+    sum of the samples' cross terms x dy - y dx.
     """
     i, j = pair
     x = a.channel(i)
     y = a.channel(j)
+    dx = np.diff(x)
+    dy = np.diff(y)
+    cross = np.concatenate([[0.0], np.cumsum(x[:-1] * dy - y[:-1] * dx)])
     dt = _uniform_dt(a)
     if dt is not None:
-        k1, k2 = _index_windows(a, dt, w)
-        dx = np.diff(x)
-        dy = np.diff(y)
-        cross = np.concatenate([[0.0], np.cumsum(x[:-1] * dy - y[:-1] * dx)])
-        core = cross[k2] - cross[k1]
-        areas = 0.5 * (
-            core - x[k1] * (y[k2] - y[k1]) + y[k1] * (x[k2] - x[k1])
-        )
-        centers = 0.5 * (a.times[k1] + a.times[k2])
-        return centers, areas
-    bounds = _time_windows(a, w)
-    if not bounds:
-        raise ValueError("window is longer than the series")
-    centers = np.array([0.5 * (ws + we) for ws, we in bounds])
-    areas = np.array(
-        [
-            _signed_area_xy(
-                _window_slice(a, i, ws, we), _window_slice(a, j, ws, we)
-            )
-            for ws, we in bounds
-        ]
-    )
-    return centers, areas
+        lo, hi = _index_windows(a, dt, w)
+        ts, te = a.times[lo], a.times[hi]
+        xs, ys, xe, ye = x[lo], y[lo], x[hi], y[hi]
+        core = cross[hi] - cross[lo]
+    else:
+        ts, te = _time_windows(a, w)
+        # samples lo..hi lie strictly inside (hi < lo if none does, also for
+        # a start past t_end); the start vertex sits on the segment ending
+        # at lo, the end vertex on the one starting at hi
+        lo = np.searchsorted(a.times[:-1], ts, side="right")
+        hi = np.searchsorted(a.times, te, side="left") - 1
+        xs, ys = np.interp(ts, a.times, x), np.interp(ts, a.times, y)
+        xe, ye = np.interp(te, a.times, x), np.interp(te, a.times, y)
+        core = (cross[hi] - cross[lo] + xs * y[lo] - ys * x[lo]
+                + x[hi] * ye - y[hi] * xe)
+    areas = 0.5 * (core - xs * (ye - ys) + ys * (xe - xs))
+    # exactly 0 for a window inside one segment: rounding noise there would
+    # be judged against null bands that are exactly 0 too
+    return 0.5 * (ts + te), np.where(hi < lo, 0.0, areas)
 
 
 def sliding_signature_derivative(
@@ -260,24 +239,22 @@ def sliding_signature_derivative(
     With w = None this is exactly signature_derivative. Otherwise each
     window's value is the segment-width-weighted mean of the stream over
     the segments inside the window (on non-uniform grids, segments lying
-    entirely inside), stamped at the window center.
+    entirely inside), stamped at the center of those segments. Window sums
+    are differences of the stream integral signature_derivative_integral.
     """
     i, j = pair
-    mid_times, stream = signature_derivative(a, i, j)
     if w is None:
-        return mid_times, stream
-    widths = np.diff(a.times)
-    weighted = np.concatenate([[0.0], np.cumsum(stream * widths)])
-    span = np.concatenate([[0.0], np.cumsum(widths)])
+        return signature_derivative(a, i, j)
+    _, integral = signature_derivative_integral(a, i, j)
+    weighted = np.concatenate([[0.0], integral])
+    span = np.concatenate([[0.0], np.cumsum(np.diff(a.times))])
     dt = _uniform_dt(a)
     if dt is not None:
         k1, k2 = _index_windows(a, dt, w)
     else:
-        bounds = _time_windows(a, w)
-        if not bounds:
-            raise ValueError("window is longer than the series")
-        k1 = np.searchsorted(a.times, [ws for ws, _ in bounds], side="left")
-        k2 = np.searchsorted(a.times, [we for _, we in bounds], side="right") - 1
+        ws, we = _time_windows(a, w)
+        k1 = np.searchsorted(a.times, ws, side="left")
+        k2 = np.searchsorted(a.times, we, side="right") - 1
         keep = k2 > k1
         k1, k2 = k1[keep], k2[keep]
         if k1.size == 0:
@@ -395,16 +372,14 @@ def _significant_runs(
     sign = np.zeros(times.size, dtype=int)
     sign[above] = 1
     sign[below] = -1
-    runs: List[Run] = []
-    start = 0
-    for k in range(1, times.size + 1):
-        if k == times.size or sign[k] != sign[start]:
-            if sign[start] != 0 and k - start >= min_run_length:
-                runs.append(
-                    Run(float(times[start]), float(times[k - 1]), int(sign[start]))
-                )
-            start = k
-    return tuple(runs)
+    cuts = np.flatnonzero(np.diff(sign)) + 1
+    starts = np.concatenate([[0], cuts])
+    ends = np.concatenate([cuts, [sign.size]])
+    return tuple(
+        Run(float(times[s]), float(times[e - 1]), int(sign[s]))
+        for s, e in zip(starts, ends)
+        if e - s >= min_run_length and sign[s] != 0
+    )
 
 
 # -- classical baselines ------------------------------------------------------

@@ -18,7 +18,8 @@ emitter renders the requested format, wrapping JSON with io.artifact and
 CSV with `# key=value` provenance lines.
 
 Exit codes: 0 success, 2 usage (argparse), 3 bad input data (non-UTF-8
-bytes included), 4 I/O failure, 5 configuration conflict or a size cap.
+bytes included), 4 I/O failure, 5 configuration conflict, a size cap or
+a diverging integration.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .causality import (
     sliding_signed_area,
 )
 from .dynamics import (
+    IntegrationError,
     LorenzParams,
     cyclic_pair,
     default_three_channel_events,
@@ -652,7 +654,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"pathsig: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, IntegrationError) as exc:
         print(f"pathsig: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

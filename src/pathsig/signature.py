@@ -43,10 +43,8 @@ __all__ = [
     "DEFAULT_LEVEL_CAP",
     "MAX_COEFFICIENTS",
     "SignatureResult",
-    "ScaleCheck",
     "signature",
     "signature_oracle",
-    "scale_path_signature_check",
     "signature_derivative",
     "signature_derivative_integral",
 ]
@@ -187,39 +185,6 @@ def signature_oracle(a: Path, word: Sequence[int]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ScaleCheck:
-    """Record of a lambda-scaling verification run."""
-
-    scale: float
-    level: int
-    per_grade_deviation: Tuple[float, ...]
-    max_deviation: float
-    tolerance: float
-    passed: bool
-
-
-def scale_path_signature_check(
-    a: Path, lam: float, level: int, tolerance: float = 1e-10
-) -> ScaleCheck:
-    """Check signature(lam * a) against lam^k-scaled grades of signature(a)."""
-    base = signature(a, level).tensor
-    scaled = signature(a.with_values(a.values * lam), level).tensor
-    deviations = []
-    for k in range(level + 1):
-        expected = base.levels[k] * lam**k
-        deviations.append(float(np.max(np.abs(scaled.levels[k] - expected))))
-    worst = max(deviations)
-    return ScaleCheck(
-        scale=lam,
-        level=level,
-        per_grade_deviation=tuple(deviations),
-        max_deviation=worst,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-    )
-
-
 def signature_derivative(
     a: Path, i: int, j: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -239,7 +204,7 @@ def signature_derivative(
     y = a.channel(j)
     if x[0] != 0.0:
         warnings.warn(
-            f"channel {i} starts at {x[0]!r}, not 0; the stream integral "
+            f"channel {i} does not start at 0; the stream integral "
             "will not match the second-level signature coefficient"
         )
     widths = np.diff(a.times)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pathsig import (
     NullModelSpec,
@@ -117,6 +119,17 @@ def test_too_many_nonuniform_windows_raise_before_allocating(rng):
         sliding_signed_area(a, (1, 2), WindowSpec(1.0, a.duration * 1e-7))
 
 
+def test_window_starting_past_the_last_sample_has_zero_area():
+    # the end tolerance admits a start just past t_end for a window shorter
+    # than that tolerance; like every window here it holds no sample
+    t = np.array([0.0, 0.3, 1.0, 1.1, 2.0])
+    a = Path(t, np.arange(10.0).reshape(5, 2) ** 1.5)
+    w = WindowSpec(1e-12, (2.0 + 1e-10) / 4)
+    times, areas = sliding_signed_area(a, (1, 2), w)
+    assert times.size == 5 and times[-1] > 2.0
+    assert np.array_equal(areas, np.zeros(5))
+
+
 def test_commensurate_circle_windows_are_constant():
     a = circle_pair(periods=2.0, per_period=400)
     times, areas = sliding_signed_area(a, (1, 2), WindowSpec(1.0, 0.05))
@@ -159,6 +172,100 @@ def test_nonuniform_windows_match_brute_force(rng):
         m += 1
     assert np.allclose(got_t, exp_t, atol=1e-9)
     assert np.allclose(got_v, exp_v, atol=1e-9)
+
+
+@st.composite
+def nonuniform_windows(draw):
+    """A non-uniform path with dyadic times and a window spec for it.
+
+    Times, strides and "end" lengths are dyadic, so in that mode the last
+    window ends exactly at t_end. Strides reach 16x below the smallest
+    sample gap, and "short" windows fit inside one gap.
+    """
+    n = draw(st.integers(3, 10))
+    gaps = np.array(draw(st.lists(st.integers(1, 16), min_size=n - 1,
+                                  max_size=n - 1))) / 16.0
+    assume(gaps.min() != gaps.max())
+    times = draw(st.integers(-800, 800)) / 16.0 + np.concatenate(
+        [[0.0], np.cumsum(gaps)]
+    )
+    coord = st.one_of(st.just(0.0), st.floats(1e-3, 100.0),
+                      st.floats(-100.0, -1e-3))
+    values = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n,
+                                    max_size=n)))
+    duration = times[-1] - times[0]
+    stride = 2.0 ** draw(st.integers(-8, 3))
+    mode = draw(st.sampled_from(["end", "short", "free"]))
+    if mode == "end":
+        m = draw(st.integers(0, int(np.ceil(duration / stride)) - 1))
+        length = duration - m * stride
+    elif mode == "short":
+        length = gaps.min() * draw(st.floats(0.05, 0.95))
+    else:
+        length = duration * draw(st.floats(1e-3, 1.0))
+    return Path(times, values), WindowSpec(length, stride)
+
+
+def stride_windows(times, w):
+    """(start, end) of each window on the stride grid, ends clipped."""
+    t0, t_end = times[0], times[-1]
+    tol = 1e-9 * max(1.0, t_end - t0)
+    m = 0
+    while t0 + m * w.stride + w.length <= t_end + tol:
+        ws = t0 + m * w.stride
+        yield ws, min(ws + w.length, t_end)
+        m += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonuniform_windows())
+def test_nonuniform_areas_match_shoelace_of_each_window(case):
+    a, w = case
+    times = a.times
+    bounds = list(stride_windows(times, w))
+    assert bounds  # window lengths never exceed the duration
+    got_t, got_v = sliding_signed_area(a, (1, 2), w)
+    scale = float(np.abs(a.values).max()) ** 2
+    assert np.array_equal(got_t, [0.5 * (ws + we) for ws, we in bounds])
+    for (ws, we), area in zip(bounds, got_v):
+        inside = (times > ws) & (times < we)
+        x, y = (
+            np.concatenate([[np.interp(ws, times, c)], c[inside],
+                            [np.interp(we, times, c)]])
+            for c in (a.channel(1), a.channel(2))
+        )
+        x, y = x - x[0], y - y[0]
+        shoelace = 0.5 * (np.dot(x[:-1], np.diff(y)) - np.dot(y[:-1], np.diff(x)))
+        assert abs(area - shoelace) <= 1e-12 * scale
+        if not inside.any():
+            assert area == 0.0  # one straight piece: null bands are 0 too
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonuniform_windows())
+def test_nonuniform_influence_matches_mean_over_full_segments(case):
+    a, w = case
+    a = Path(a.times, a.values - a.values[0])
+    times = a.times
+    _, stream = signature_derivative(a, 1, 2)
+    widths = np.diff(times)
+    expected = []
+    for ws, we in stride_windows(times, w):
+        segs = np.flatnonzero((times[:-1] >= ws) & (times[1:] <= we))
+        if segs.size:
+            span = widths[segs].sum()
+            center = 0.5 * (times[segs[0]] + times[segs[-1] + 1])
+            mean = np.dot(stream[segs], widths[segs]) / span
+            expected.append((center, mean, span))
+    if not expected:
+        with pytest.raises(ValueError, match="no window contains"):
+            sliding_signature_derivative(a, (1, 2), w)
+        return
+    got_t, got_v = sliding_signature_derivative(a, (1, 2), w)
+    scale = float(np.abs(a.values).max()) ** 2
+    assert np.array_equal(got_t, [c for c, _, _ in expected])
+    for value, (_, mean, span) in zip(got_v, expected):
+        assert abs(value - mean) <= 1e-12 * scale / span
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +445,35 @@ def test_significant_runs_extraction():
     runs2 = _significant_runs(times, above, below, min_run_length=2)
     assert len(runs2) == 2
     assert runs2[1].sign == -1
+
+
+def loop_runs(times, above, below, min_run_length):
+    """Reference: walk the points, closing a run at each sign change."""
+    sign = np.zeros(times.size, dtype=int)
+    sign[above] = 1
+    sign[below] = -1
+    runs, start = [], 0
+    for k in range(1, times.size + 1):
+        if k == times.size or sign[k] != sign[start]:
+            if sign[start] != 0 and k - start >= min_run_length:
+                runs.append((float(times[start]), float(times[k - 1]),
+                             int(sign[start])))
+            start = k
+    return tuple(runs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.integers(1, 6),
+)))
+def test_significant_runs_match_loop_reference(case):
+    above, below, min_run_length = case
+    above, below = np.array(above, dtype=bool), np.array(below, dtype=bool)
+    times = np.arange(above.size) * 0.5
+    want = loop_runs(times, above, below, min_run_length)
+    assert _significant_runs(times, above, below, min_run_length) == want
 
 
 def test_shuffle_null_finds_planted_lead(rng):

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import subprocess
 import sys
 import tracemalloc
 
@@ -258,6 +259,26 @@ def test_window_longer_than_series_is_config_error(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_diverging_lorenz_is_config_error(capsys):
+    assert main(["gen", "lorenz", "--dt", "10", "--steps", "50"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "pathsig: config error: non-finite state at step 3\n"
+
+
+def test_influence_null_warns_once_about_nonzero_start():
+    # every replicate repeats the warning; Python shows a repeated one once
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathsig.cli", "influence", UNIFORM,
+         "--pairs", "1,2", "--window", "0.2", "--stride", "0.05",
+         "--replicates", "20", "--seed", "5"],
+        capture_output=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr.decode().count("UserWarning") == 1
 
 
 def test_bad_pair_token_is_config_error(tmp_path, capsys):

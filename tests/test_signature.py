@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from pathsig import (
     TruncatedTensor,
     concat,
     inverse,
-    scale_path_signature_check,
     shuffle,
     signature,
     signature_derivative,
@@ -251,6 +252,39 @@ def test_colinear_sample_insertion_invariance(rng):
     )
     diff = signature(a, 4).tensor.max_abs_difference(signature(b, 4).tensor)
     assert diff < 1e-12
+
+
+@dataclass(frozen=True)
+class ScaleCheck:
+    """Record of a lambda-scaling verification run."""
+
+    scale: float
+    level: int
+    per_grade_deviation: Tuple[float, ...]
+    max_deviation: float
+    tolerance: float
+    passed: bool
+
+
+def scale_path_signature_check(
+    a: Path, lam: float, level: int, tolerance: float = 1e-10
+) -> ScaleCheck:
+    """Check signature(lam * a) against lam^k-scaled grades of signature(a)."""
+    base = signature(a, level).tensor
+    scaled = signature(a.with_values(a.values * lam), level).tensor
+    deviations = []
+    for k in range(level + 1):
+        expected = base.levels[k] * lam**k
+        deviations.append(float(np.max(np.abs(scaled.levels[k] - expected))))
+    worst = max(deviations)
+    return ScaleCheck(
+        scale=lam,
+        level=level,
+        per_grade_deviation=tuple(deviations),
+        max_deviation=worst,
+        tolerance=tolerance,
+        passed=worst <= tolerance,
+    )
 
 
 def test_scaling_check_passes_for_spec_scales(rng):
