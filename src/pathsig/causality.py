@@ -52,6 +52,9 @@ class WindowSpec:
             raise ValueError("window length must be > 0")
         if self.stride <= 0:
             raise ValueError("window stride must be > 0")
+        for name, value in (("length", self.length), ("stride", self.stride)):
+            if not math.isfinite(value):
+                raise ValueError(f"window {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,8 @@ class NullModelSpec:
             raise ValueError("null model needs at least 2 replicates")
         if self.band_sigmas <= 0:
             raise ValueError("band_sigmas must be > 0")
+        if not math.isfinite(self.band_sigmas):
+            raise ValueError(f"band_sigmas must be finite, got {self.band_sigmas}")
         if self.min_run_length < 1:
             raise ValueError("min_run_length must be >= 1")
         if self.band_mode not in ("gaussian", "quantile"):
@@ -158,18 +163,20 @@ def _index_windows(a: Path, dt: float, w: WindowSpec) -> Tuple[np.ndarray, np.nd
     point strictly inside every sample's rounding cell, so every sample
     starts a window and the grid is not built.
     """
-    n_seg = int(round(w.length / dt))
+    n_seg = np.rint(w.length / dt)  # a float, so that a huge ratio is inf
     if n_seg < 1:
         raise ValueError("window is shorter than the sample spacing")
-    last_start = a.n_samples - 1 - n_seg
-    if last_start < 0:
+    if n_seg > a.n_samples - 1:
         raise ValueError("window is longer than the series")
+    n_seg = int(n_seg)
+    last_start = a.n_samples - 1 - n_seg
     if w.stride < 0.5 * dt:
         k1 = np.arange(last_start + 1)
         return k1, k1 + n_seg
     m = np.arange(int(np.floor(last_start * dt / w.stride + 1e-9)) + 2)
-    k1 = np.rint(m * w.stride / dt).astype(int)
-    k1 = np.unique(k1[k1 <= last_start])
+    with np.errstate(over="ignore"):  # inf past the end is dropped below
+        k1 = np.rint(m * w.stride / dt)
+    k1 = np.unique(k1[k1 <= last_start]).astype(int)
     return k1, k1 + n_seg
 
 

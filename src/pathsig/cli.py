@@ -13,13 +13,16 @@ flag wins over the variable, the variable over the built-in default, and a
 variable for an option the command lacks is ignored. Booleans accept
 1/0/true/false/yes/no/on/off; lists split on spaces or ';'.
 
-Each handler returns (kind, JSON payload thunk, CSV body thunk) and one
-emitter renders the requested format, wrapping JSON with io.artifact and
-CSV with `# key=value` provenance lines.
+The resolved argparse namespace is the run's config: _config_from_args
+checks it in place, every handler reads it, and _echo writes the config
+block that each artifact carries. Each handler returns (kind, JSON payload
+thunk, CSV body thunk) and one emitter renders the requested format,
+wrapping JSON with io.artifact and CSV with `# key=value` provenance lines.
 
 Exit codes: 0 success, 2 usage (argparse), 3 bad input data (non-UTF-8
-bytes included), 4 I/O failure, 5 configuration conflict, a size cap or
-a diverging integration.
+bytes included), 4 I/O failure, 5 configuration conflict (non-finite
+window, smoothing or band values included), a size cap (a generated
+dataset's rows included) or a diverging integration.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -64,7 +67,7 @@ from .path_core import Path, PreprocessConfig, preprocess
 from .signature import signature
 from .tensor_algebra import lyndon_words, tensor_log
 
-__all__ = ["ConfigError", "RunConfig", "run", "main"]
+__all__ = ["ConfigError", "run", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,76 +82,11 @@ class ConfigError(ValueError):
     """Flags, environment overrides, or their combination are invalid."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on; echoed into every artifact."""
-
-    command: str
-    input: Optional[str] = None
-    output: Optional[str] = None
-    fmt: str = "json"
-    level: Optional[int] = None
-    pairs: Tuple[Tuple[int, int], ...] = ()
-    window: Optional[float] = None
-    stride: Optional[float] = None
-    replicates: int = 0
-    seed: Optional[int] = None
-    sigmas: float = 3.0
-    min_run: int = 5
-    band_mode: str = "gaussian"
-    smooth_sigma: Optional[float] = None
-    center: bool = False
-    normalize: str = "none"
-    prepend_zero: bool = False
-    lags: Optional[float] = None
-    order: int = 1
-    caused: Optional[int] = None
-    covariates: Tuple[int, ...] = ()
-    lyndon: bool = False
-    generator: Optional[Dict[str, object]] = None
-
-    def to_dict(self) -> dict:
-        # input/output paths are deliberately omitted: the artifact must not
-        # depend on where it was read from or written to
-        out: Dict[str, object] = {"command": self.command, "format": self.fmt}
-        if self.level is not None:
-            out["level"] = self.level
-        if self.pairs:
-            out["pairs"] = [list(p) for p in self.pairs]
-        if self.window is not None:
-            out["window"] = self.window
-            out["stride"] = self.stride
-        if self.replicates:
-            out["replicates"] = self.replicates
-            out["sigmas"] = self.sigmas
-            out["min_run"] = self.min_run
-            out["band_mode"] = self.band_mode
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.generator is None:
-            out["preprocess"] = {
-                "smooth_sigma": self.smooth_sigma or 0.0,
-                "center": self.center,
-                "normalize": self.normalize,
-                "prepend_zero": self.prepend_zero,
-            }
-        if self.lags is not None:
-            out["lags"] = self.lags
-        if self.caused is not None:
-            out["caused"] = self.caused
-            out["covariates"] = list(self.covariates)
-            out["order"] = self.order
-        if self.lyndon:
-            out["lyndon"] = True
-        if self.generator is not None:
-            out["generator"] = self.generator
-        return out
-
-
 # ---------------------------------------------------------------------------
 # parser tables and flag/environment resolution
 
 Option = Tuple[List[str], dict]
+Config = argparse.Namespace  # the parsed options of one run are its config
 
 
 def _opt(flags: str, type=None, default=None, **kwargs) -> Option:
@@ -360,7 +298,8 @@ def _parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     return args
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: Config) -> Config:
+    """Check the parsed options in place and return them as the config."""
     given = vars(args)
     for dest, allowed in _CHOICES.items():
         value = given.get(dest, allowed[0])
@@ -370,51 +309,36 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 f"{', '.join(allowed)}; got {value!r}"
             )
     if args.command == "gen":
-        return _gen_config(args)
-    names = {f.name for f in fields(RunConfig)}
-    kwargs = {k: v for k, v in given.items() if k in names}
-    try:
-        raw = kwargs.get("pairs")
-        pairs = _parse_pairs(" ".join(raw)) if raw is not None else ()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    kwargs.update(
-        fmt=given.get("format", "json"),
-        pairs=pairs,
-        covariates=tuple(kwargs.get("covariates", ())),
-    )
-    cfg = RunConfig(**kwargs)
-    _validate_config(cfg)
-    return cfg
-
-
-def _gen_config(args: argparse.Namespace) -> RunConfig:
-    gen: Dict[str, object] = {
-        a.dest: getattr(args, a.dest)
-        for a in _options(args.parser)
-        if a.dest != "output"
-    }
-    gen["name"] = args.generator
-    if "x0" in gen:
+        args.format = "csv"
+        if "x0" in given:
+            try:
+                x0 = tuple(float(v) for v in args.x0.split(","))
+            except ValueError:
+                raise ConfigError(f"--x0 {args.x0!r} is not x,y,z") from None
+            if len(x0) != 3:
+                raise ConfigError("--x0 needs exactly three components")
+            args.x0 = x0
+        if given.get("thin", 1) < 1:
+            raise ConfigError("--thin must be >= 1")
+    else:
         try:
-            x0 = [float(v) for v in args.x0.split(",")]
-        except ValueError:
-            raise ConfigError(f"--x0 {args.x0!r} is not x,y,z") from None
-        if len(x0) != 3:
-            raise ConfigError("--x0 needs exactly three components")
-        gen["x0"] = tuple(x0)
-    if gen.get("thin", 1) < 1:
-        raise ConfigError("--thin must be >= 1")
-    return RunConfig(
-        command="gen",
-        output=args.output,
-        fmt="csv",
-        seed=gen.get("seed"),
-        generator=gen,
-    )
+            raw = given.get("pairs")
+            args.pairs = _parse_pairs(" ".join(raw)) if raw is not None else ()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        args.preprocess = PreprocessConfig(
+            smooth_sigma=args.smooth_sigma or 0.0,
+            center=args.center,
+            normalize=args.normalize,
+            prepend_zero=args.prepend_zero,
+        )
+    for dest, default in (("format", "json"), ("seed", None), ("replicates", 0)):
+        given.setdefault(dest, default)
+    _validate_config(args)
+    return args
 
 
-def _validate_config(cfg: RunConfig) -> None:
+def _validate_config(cfg: Config) -> None:
     if cfg.replicates < 0 or cfg.replicates == 1:
         raise ConfigError("--replicates must be 0 or at least 2")
     if cfg.replicates and cfg.seed is None:
@@ -437,6 +361,43 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("granger needs --caused")
 
 
+def _echo(cfg: Config) -> dict:
+    """The config block of an artifact. Input and output paths are left
+    out: the artifact must not depend on where it was read or written."""
+    given = vars(cfg)
+    out: Dict[str, object] = {"command": cfg.command, "format": cfg.format}
+    if given.get("level") is not None:
+        out["level"] = cfg.level
+    if given.get("pairs"):
+        out["pairs"] = [list(p) for p in cfg.pairs]
+    if given.get("window") is not None:
+        out.update(window=cfg.window, stride=cfg.stride)
+    if cfg.replicates:
+        out.update(
+            replicates=cfg.replicates,
+            sigmas=cfg.sigmas,
+            min_run=cfg.min_run,
+            band_mode=cfg.band_mode,
+        )
+    if cfg.seed is not None:
+        out["seed"] = cfg.seed
+    if given.get("lags") is not None:
+        out["lags"] = cfg.lags
+    if given.get("caused") is not None:
+        out.update(
+            caused=cfg.caused, covariates=list(cfg.covariates), order=cfg.order
+        )
+    if given.get("lyndon"):
+        out["lyndon"] = True
+    if cfg.command == "gen":
+        gen = {a.dest: given[a.dest] for a in _options(cfg.parser)}
+        del gen["output"]
+        out["generator"] = dict(gen, name=cfg.generator)
+    else:
+        out["preprocess"] = asdict(cfg.preprocess)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # execution: each handler returns (kind, JSON payload thunk, CSV body thunk),
 # a thunk being None for a format the command does not write, and _emit
@@ -447,37 +408,27 @@ def _validate_config(cfg: RunConfig) -> None:
 Output = Tuple[str, Optional[Callable[[], dict]], Optional[Callable[[], str]]]
 
 
-def _load_input(cfg: RunConfig) -> Path:
+def _load_input(cfg: Config) -> Path:
     source = sys.stdin.buffer if cfg.input in (None, "-") else cfg.input
     return load_path_csv(source)
 
 
-def _prepared(cfg: RunConfig) -> Path:
-    return preprocess(_load_input(cfg), _preprocess_cfg(cfg))
+def _prepared(cfg: Config) -> Path:
+    return preprocess(_load_input(cfg), cfg.preprocess)
 
 
-def _preprocess_cfg(cfg: RunConfig) -> PreprocessConfig:
-    return PreprocessConfig(
-        smooth_sigma=cfg.smooth_sigma or 0.0,
-        center=cfg.center,
-        normalize=cfg.normalize,
-        prepend_zero=cfg.prepend_zero,
-    )
-
-
-def _emit(cfg: RunConfig, kind: str, payload, body) -> None:
+def _emit(cfg: Config, kind: str, payload, body) -> None:
     # an artifact that drew randomness carries its seed
-    seed = cfg.seed if cfg.replicates or cfg.generator else None
-    if cfg.fmt == "csv":
+    seed = cfg.seed if cfg.replicates or cfg.command == "gen" else None
+    config = _echo(cfg)
+    if cfg.format == "csv":
         meta = [f"kind={kind}", f"version={__version__}"]
         if seed is not None:
             meta.append(f"seed={seed}")
-        meta.append(
-            "config=" + canonical_json(cfg.to_dict()).decode("utf-8").strip()
-        )
+        meta.append("config=" + canonical_json(config).decode("utf-8").strip())
         data = ("".join(f"# {m}\n" for m in meta) + body()).encode("utf-8")
     else:
-        data = canonical_json(artifact(kind, cfg.to_dict(), payload(), seed))
+        data = canonical_json(artifact(kind, config, payload(), seed))
     if cfg.output is None or cfg.output == "-":
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -486,7 +437,7 @@ def _emit(cfg: RunConfig, kind: str, payload, body) -> None:
             fh.write(data)
 
 
-def _cmd_signature(cfg: RunConfig) -> Output:
+def _cmd_signature(cfg: Config) -> Output:
     a = _prepared(cfg)
     result = signature(a, cfg.level if cfg.level is not None else 2)
     if cfg.command == "sig":
@@ -505,7 +456,7 @@ def _cmd_signature(cfg: RunConfig) -> Output:
     return "logsig", lambda: payload, None
 
 
-def _cmd_leadmatrix(cfg: RunConfig) -> Output:
+def _cmd_leadmatrix(cfg: Config) -> Output:
     matrix = lead_matrix(_prepared(cfg))
     return (
         "leadmatrix",
@@ -514,7 +465,7 @@ def _cmd_leadmatrix(cfg: RunConfig) -> Output:
     )
 
 
-def _curves(cfg: RunConfig, kind: str, name: str, statistic) -> Output:
+def _curves(cfg: Config, kind: str, name: str, statistic) -> Output:
     """One curve per pair from statistic(path, pair) -> (times, values)."""
     a = _prepared(cfg)
     curves = [(name, pair, *statistic(a, pair)) for pair in cfg.pairs]
@@ -535,7 +486,7 @@ def _curves(cfg: RunConfig, kind: str, name: str, statistic) -> Output:
     return kind, payload, lambda: curves_csv(curves)
 
 
-def _windowed_command(cfg: RunConfig, kind: str) -> Output:
+def _windowed_command(cfg: Config, kind: str) -> Output:
     if kind == "slidearea":
         name, sliding = "signed_area", sliding_signed_area
     else:
@@ -557,7 +508,7 @@ def _windowed_command(cfg: RunConfig, kind: str) -> Output:
             lambda p, win, pair=pair: sliding(p, pair, win),
             spec,
             w=w,
-            preprocess_cfg=_preprocess_cfg(cfg),
+            preprocess_cfg=cfg.preprocess,
             statistic_name=name,
             pair=pair,
         )
@@ -570,7 +521,7 @@ def _windowed_command(cfg: RunConfig, kind: str) -> Output:
     )
 
 
-def _cmd_xcorr(cfg: RunConfig) -> Output:
+def _cmd_xcorr(cfg: Config) -> Output:
     return _curves(
         cfg,
         "xcorr",
@@ -579,7 +530,7 @@ def _cmd_xcorr(cfg: RunConfig) -> Output:
     )
 
 
-def _cmd_granger(cfg: RunConfig) -> Output:
+def _cmd_granger(cfg: Config) -> Output:
     c = granger_var(_prepared(cfg), cfg.caused, cfg.covariates, cfg.order)
     result = {
         "C": float(c),
@@ -590,42 +541,36 @@ def _cmd_granger(cfg: RunConfig) -> Output:
     return "granger", lambda: {"result": result}, None
 
 
-def _cmd_gen(cfg: RunConfig) -> Output:
-    gen = cfg.generator or {}
-    name = gen["name"]
-    if name == "lorenz":
-        keys = ("sigma", "rho", "beta", "x0", "dt", "steps")
-        a = lorenz(LorenzParams(**{k: gen[k] for k in keys}))
-        thin = int(gen["thin"])
-        if thin > 1:
-            a = Path(a.times[::thin], a.values[::thin], a.channel_names)
-    elif name == "cyclic":
-        power = float(gen["warp_power"])
+def _cmd_gen(cfg: Config) -> Output:
+    if cfg.generator == "lorenz":
+        a = lorenz(
+            LorenzParams(cfg.sigma, cfg.rho, cfg.beta, cfg.x0, cfg.dt, cfg.steps)
+        )
+        if cfg.thin > 1:
+            a = Path(a.times[:: cfg.thin], a.values[:: cfg.thin], a.channel_names)
+    elif cfg.generator == "cyclic":
+        power = cfg.warp_power
         if power <= 0:
             raise ConfigError("--warp-power must be positive")
-        warp = None if power == 1.0 else (lambda u: u ** power)
         a = cyclic_pair(
-            n_events=gen["n_events"],
-            phase_lag=gen["phase_lag"],
-            warp=warp,
-            samples=gen["samples"],
-            noise_sigma=gen["noise"],
-            seed=gen["seed"],
+            n_events=cfg.n_events,
+            phase_lag=cfg.phase_lag,
+            warp=None if power == 1.0 else (lambda u: u ** power),
+            samples=cfg.samples,
+            noise_sigma=cfg.noise,
+            seed=cfg.seed,
         )
     else:
         events = default_three_channel_events()
-        if gen["events"] is not None:
-            events = load_events(gen["events"])
+        if cfg.events is not None:
+            events = load_events(cfg.events)
         a = three_channel_event_series(
-            events,
-            samples=gen["samples"],
-            noise_sigma=gen["noise"],
-            seed=gen["seed"],
+            events, samples=cfg.samples, noise_sigma=cfg.noise, seed=cfg.seed
         )
-    return f"dataset:{name}", None, lambda: path_to_csv(a)
+    return f"dataset:{cfg.generator}", None, lambda: path_to_csv(a)
 
 
-_HANDLERS: Dict[str, Callable[[RunConfig], Output]] = {
+_HANDLERS: Dict[str, Callable[[Config], Output]] = {
     "sig": _cmd_signature,
     "logsig": _cmd_signature,
     "leadmatrix": _cmd_leadmatrix,
@@ -637,7 +582,7 @@ _HANDLERS: Dict[str, Callable[[RunConfig], Output]] = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: Config) -> int:
     """Execute one command; raises on failure, returns 0 on success."""
     _emit(cfg, *_HANDLERS[cfg.command](cfg))
     return EXIT_OK

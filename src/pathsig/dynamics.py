@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .path_core import Path
+from .signature import MAX_COEFFICIENTS
 
 __all__ = [
     "IntegrationError",
@@ -48,6 +49,22 @@ class LorenzParams:
             raise ValueError("dt must be > 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.steps >= MAX_COEFFICIENTS:
+            raise ValueError(
+                f"{self.steps} steps give {self.steps + 1} samples, over the "
+                f"cap of {MAX_COEFFICIENTS}"
+            )
+
+
+def _check_samples(samples: int) -> None:
+    """A generated series has 16 to MAX_COEFFICIENTS rows; the cap is
+    checked before anything is allocated."""
+    if samples < 16:
+        raise ValueError("samples must be >= 16")
+    if samples > MAX_COEFFICIENTS:
+        raise ValueError(
+            f"{samples} samples is over the cap of {MAX_COEFFICIENTS}"
+        )
 
 
 def lorenz(params: LorenzParams = LorenzParams()) -> Path:
@@ -111,10 +128,11 @@ def cyclic_pair(
     producing a pure reparametrization of the unwarped series. Noise is
     additive Gaussian, seeded.
     """
-    if samples < 16:
-        raise ValueError("samples must be >= 16")
+    _check_samples(samples)
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
+    if n_events > samples:
+        raise ValueError(f"n_events {n_events} is more than samples {samples}")
     if not 0 <= abs(phase_lag) < 1:
         raise ValueError("phase_lag must lie in (-1, 1)")
     period = 1.0 / n_events
@@ -168,8 +186,7 @@ def three_channel_event_series(
     seeded Gaussian noise baseline. Channels not named by any event stay
     pure noise.
     """
-    if samples < 16:
-        raise ValueError("samples must be >= 16")
+    _check_samples(samples)
     t = np.linspace(0.0, 1.0, samples)
     values = np.zeros((samples, 3))
     for ev in events:

@@ -93,7 +93,10 @@ def load_path_csv(source: Source) -> Path:
     column positions so a bad cell in a large file can be found directly.
     """
     with utf8_text(source) as text:
-        return _parse_path_csv(text)
+        try:
+            return _parse_path_csv(text)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise CsvFormatError(str(exc)) from None
 
 
 def _parse_path_csv(source: IO[str]) -> Path:
@@ -150,7 +153,7 @@ def load_events(source: Source) -> List[Event]:
     with utf8_text(source) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CsvFormatError(f"events file: {exc}") from None
     if not isinstance(raw, list) or not raw:
         raise CsvFormatError("events file must hold a non-empty JSON list")
@@ -170,14 +173,22 @@ def load_events(source: Source) -> List[Event]:
                 raise CsvFormatError(
                     f"event {k}: {f.name} must be {kind}, got {value!r}"
                 )
+            try:
+                float(value)
+            except OverflowError:  # an int past the float range
+                raise CsvFormatError(f"event {k}: {f.name} is too large") from None
         events.append(event)
     return events
 
 
 def path_to_csv(a: Path) -> str:
     buf = _io.StringIO()
+    header = ("time",) + tuple(a.channel_names)
+    # csv quotes a name holding its line terminator "\n", not a lone "\r"
+    lone_cr = any("\r" in h for h in header)
+    quoting = csv.QUOTE_ALL if lone_cr else csv.QUOTE_MINIMAL
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerow(header)
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("time",) + tuple(a.channel_names))
     for k in range(a.n_samples):
         writer.writerow(
             [_fmt(a.times[k])] + [_fmt(v) for v in a.values[k]]

@@ -117,6 +117,8 @@ class PreprocessConfig:
     def __post_init__(self) -> None:
         if self.smooth_sigma < 0:
             raise ValueError("smooth_sigma must be >= 0")
+        if not np.isfinite(self.smooth_sigma):
+            raise ValueError(f"smooth_sigma must be finite, got {self.smooth_sigma}")
         if self.normalize not in ("per", "global", "none"):
             raise ValueError(
                 f"normalize must be 'per', 'global' or 'none', got {self.normalize!r}"

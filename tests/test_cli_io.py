@@ -11,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathsig import Path, signature
 from pathsig.cli import (
@@ -81,6 +83,42 @@ def test_round_trip_is_bit_exact(rng):
     back = load_path_csv(io.StringIO(path_to_csv(a)))
     assert np.array_equal(back.times, a.times)
     assert np.array_equal(back.values, a.values)
+    assert back.channel_names == a.channel_names
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308]
+)
+_FLOATS = st.one_of(
+    _EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False)
+)
+# the loader strips blanks around a header cell, so names carry none; NUL is
+# left out because Python 3.10's csv reader refuses it
+_NAMES = st.text(
+    st.one_of(
+        st.sampled_from(',"\n\r# '),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+    ),
+    max_size=6,
+).map(str.strip)
+
+
+@st.composite
+def _csv_paths(draw):
+    n = draw(st.integers(1, 3))
+    times = sorted(draw(st.lists(_FLOATS, min_size=1, max_size=6, unique=True)))
+    row = st.lists(_FLOATS, min_size=n, max_size=n)
+    values = draw(st.lists(row, min_size=len(times), max_size=len(times)))
+    names = draw(st.lists(_NAMES, min_size=n, max_size=n))
+    return Path(np.array(times), np.array(values), tuple(names))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_paths())
+def test_csv_round_trip_is_bit_exact_on_any_path(a):
+    back = load_path_csv(io.BytesIO(path_to_csv(a).encode("utf-8")))
+    assert back.times.tobytes() == a.times.tobytes()
+    assert back.values.tobytes() == a.values.tobytes()
     assert back.channel_names == a.channel_names
 
 
@@ -285,6 +323,76 @@ def test_bad_pair_token_is_config_error(tmp_path, capsys):
     f = write_csv(tmp_path)
     assert main(["xcorr", f, "--pairs", "12", "--lags", "1"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["slidearea", "influence"])
+@pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+@pytest.mark.parametrize("value", ["1e308", "inf", "nan"])
+@pytest.mark.parametrize("flag", ["--window", "--stride"])
+def test_huge_or_non_finite_window_values(flag, value, grid, command, capsys):
+    source, window, stride = (
+        (UNIFORM, "0.1", "0.05") if grid == "uniform" else (NON_UNIFORM, "5", "2")
+    )
+    argv = [command, source, "--pairs", "1,2", "--window", window,
+            "--stride", stride, "--smooth-sigma", "0"]
+    argv[argv.index(flag) + 1] = value
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if (flag, value) == ("--stride", "1e308"):
+        assert code == 0
+        assert len(json.loads(out)["curves"][0]["times"]) == 1
+        return
+    assert code == EXIT_CONFIG and out == ""
+    assert err.count("\n") == 1
+    if value == "1e308":
+        assert err == "pathsig: config error: window is longer than the series\n"
+    else:
+        name = "length" if flag == "--window" else "stride"
+        assert err == f"pathsig: config error: window {name} must be finite, " \
+            f"got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["leadmatrix", UNIFORM, "--smooth-sigma", "nan"], "smooth_sigma"),
+        (["influence", UNIFORM, "--pairs", "1,2", "--window", "0.2",
+          "--stride", "0.05", "--replicates", "4", "--seed", "1",
+          "--sigmas", "nan"], "band_sigmas"),
+    ],
+    ids=["smooth-sigma", "sigmas"],
+)
+def test_nan_smoothing_or_band_is_config_error(argv, field, capsys):
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"pathsig: config error: {field} must be finite, got nan\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cyclic", "--samples", "100", "--n-events", "1000000000"],
+         "n_events 1000000000 is more than samples 100"),
+        (["cyclic", "--samples", "1000000000"],
+         "1000000000 samples is over the cap of 2097152"),
+        (["events", "--samples", "1000000000"],
+         "1000000000 samples is over the cap of 2097152"),
+        (["lorenz", "--steps", "1000000000"],
+         "1000000000 steps give 1000000001 samples, over the cap of 2097152"),
+        (["lorenz", "--steps", "2097152"],
+         "2097152 steps give 2097153 samples, over the cap of 2097152"),
+    ],
+    ids=["n-events", "cyclic-samples", "events-samples", "lorenz-steps",
+         "lorenz-first-over-cap"],
+)
+def test_gen_over_the_row_cap_is_config_error(argv, message, tmp_path, capsys):
+    out_file = tmp_path / "out.csv"
+    code, peak = _peak_of_main(["gen"] + argv + ["-o", str(out_file)])
+    assert code == EXIT_CONFIG
+    assert peak < 2**20
+    assert not out_file.exists()
+    assert capsys.readouterr().err == f"pathsig: config error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from pathsig import (
     signed_area_via_winding,
     winding_number,
 )
+from pathsig.io import path_to_csv
 from conftest import random_path
 
 
@@ -177,6 +182,35 @@ def test_lead_matrix_serialization(rng):
     assert len(d["A"]) == 3 and len(d["A"][0]) == 3
     back = LeadMatrix(tuple(d["channels"]), np.array(d["A"]))
     assert np.array_equal(back.values, lead_matrix(a).values)
+
+
+def test_lead_matrix_entries_are_the_pair_signed_areas(rng):
+    a = random_path(rng, n_samples=200, n_channels=4)
+    m = lead_matrix(a).values
+    for i in range(1, 5):
+        for j in range(1, 5):
+            assert m[i - 1, j - 1] == signed_area(a, i, j)
+
+
+def test_lead_matrix_bytes_do_not_depend_on_thread_count(tmp_path):
+    rng = np.random.default_rng(11)
+    values = np.cumsum(rng.normal(size=(10_000, 20)), axis=0)
+    big = tmp_path / "big.csv"
+    big.write_text(path_to_csv(Path(np.arange(10_000) * 0.01, values)))
+    outs = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
+        outs.append(subprocess.run(
+            [sys.executable, "-m", "pathsig.cli", "leadmatrix", str(big),
+             "--format", "csv"],
+            capture_output=True, env=env, check=True,
+        ).stdout)
+    assert outs[0] == outs[1]
+    rows = [ln for ln in outs[0].decode().splitlines()
+            if not ln.startswith("#")][1:]
+    m = np.loadtxt(rows, delimiter=",", usecols=range(1, 21))
+    assert np.array_equal(m, -m.T)
 
 
 # ---------------------------------------------------------------------------
