@@ -330,6 +330,11 @@ def shuffle_null(
         return statistic(p, w)
 
     times, observed = pipeline(a)
+    if spec.replicates * observed.size > MAX_COEFFICIENTS:
+        raise ValueError(
+            f"{spec.replicates} replicates x {observed.size} windows is over "
+            f"the cap of {MAX_COEFFICIENTS}"
+        )
     curves = np.empty((spec.replicates, observed.size))
     for r in range(spec.replicates):
         _, curve = pipeline(shuffle_channels(a, mix_seed(spec.seed, r)))

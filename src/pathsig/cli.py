@@ -20,9 +20,10 @@ thunk, CSV body thunk) and one emitter renders the requested format,
 wrapping JSON with io.artifact and CSV with `# key=value` provenance lines.
 
 Exit codes: 0 success, 2 usage (argparse), 3 bad input data (non-UTF-8
-bytes included), 4 I/O failure, 5 configuration conflict (non-finite
-window, smoothing or band values included), a size cap (a generated
-dataset's rows included) or a diverging integration.
+bytes and bad event fields included), 4 I/O failure, 5 configuration
+conflict (non-finite window, smoothing, band or noise values included), a
+size cap (a generated dataset's rows and replicates x windows included) or
+a diverging integration.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,10 +105,68 @@ def lorenz(params: LorenzParams = LorenzParams()) -> Path:
     return Path(times, np.frombuffer(out).reshape(-1, 3), ("x", "y", "z"))
 
 
-def _raised_cosine(u: np.ndarray, center: float, width: float) -> np.ndarray:
-    """Unit bump 0.5 (1 + cos(pi (u-c)/w)) supported on |u - c| <= w."""
-    rel = (u - center) / width
-    return np.where(np.abs(rel) <= 1.0, 0.5 * (1.0 + np.cos(np.pi * rel)), 0.0)
+@dataclass(frozen=True)
+class Event:
+    """One localized lead-lag event: leader bumps, follower repeats later.
+
+    time is the leader bump center on the unit interval; lag and width are
+    in the same units. Overlapping events are permitted and simply add.
+    Channels are integers, lag, width and amplitude finite, width positive.
+    """
+
+    time: float
+    leader: int
+    follower: int
+    lag: float = 0.02
+    width: float = 0.03
+    amplitude: float = 1.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types = int if f.name in ("leader", "follower") else (int, float)
+            if isinstance(value, bool) or not isinstance(value, types):
+                kind = "an integer" if types is int else "a number"
+                raise TypeError(f"{f.name} must be {kind}, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:  # an int past the float range
+                raise ValueError(f"{f.name} is too large") from None
+        for name in ("lag", "width", "amplitude"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.width <= 0:
+            raise ValueError(f"width must be > 0, got {self.width}")
+
+
+def _bumps(u: np.ndarray, events: Iterable[Event], channels: int,
+           noise_sigma: float, seed: int) -> np.ndarray:
+    """The events' bumps at positions u, added in event order, plus noise.
+    A bump adds exactly +-0.0 outside its support, so only the samples
+    around the support are evaluated."""
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0: {noise_sigma}")
+    values = np.zeros((u.size, channels))
+    for ev in events:
+        if not 0.0 <= ev.time <= 1.0:
+            raise ValueError(f"event time {ev.time} outside [0, 1]")
+        w = ev.width
+        for ch, c in ((ev.leader, ev.time), (ev.follower, ev.time + ev.lag)):
+            if not 1 <= ch <= channels:
+                raise ValueError(f"event channel {ch} outside [1, {channels}]")
+            # the support widened by more than the rounding of (u - c) / w
+            # and of the bounds, so that every sample past it is outside
+            pad = 1e-15 * (abs(c) + w)
+            lo, hi = np.searchsorted(u, (c - w - pad, c + w + pad))
+            rel = (u[lo:hi] - c) / w
+            cos = 0.5 * (1.0 + np.cos(np.pi * rel))
+            bump = np.where(np.abs(rel) <= 1.0, cos, 0.0)
+            values[lo:hi, ch - 1] += ev.amplitude * bump
+    if noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        values = values + rng.normal(0.0, noise_sigma, values.shape)
+    return values
 
 
 def cyclic_pair(
@@ -136,7 +194,6 @@ def cyclic_pair(
     if not 0 <= abs(phase_lag) < 1:
         raise ValueError("phase_lag must lie in (-1, 1)")
     period = 1.0 / n_events
-    width = 0.25 * period
     t = np.linspace(0.0, 1.0, samples)
     if warp is not None:
         u = np.asarray(warp(t), dtype=float)
@@ -144,33 +201,9 @@ def cyclic_pair(
             raise ValueError("warp must be strictly increasing on [0, 1]")
     else:
         u = t
-    centers = (np.arange(n_events) + 0.5) * period
-    g1 = np.zeros_like(u)
-    g2 = np.zeros_like(u)
-    for c in centers:
-        g1 += _raised_cosine(u, c, width)
-        g2 += _raised_cosine(u, c + phase_lag * period, width)
-    values = np.column_stack([g1, g2])
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        values = values + rng.normal(0.0, noise_sigma, values.shape)
-    return Path(t, values, ("y1", "y2"))
-
-
-@dataclass(frozen=True)
-class Event:
-    """One localized lead-lag event: leader bumps, follower repeats later.
-
-    time is the leader bump center on the unit interval; lag and width are
-    in the same units. Overlapping events are permitted and simply add.
-    """
-
-    time: float
-    leader: int
-    follower: int
-    lag: float = 0.02
-    width: float = 0.03
-    amplitude: float = 1.0
+    events = (Event((k + 0.5) * period, 1, 2, phase_lag * period, period / 4)
+              for k in range(n_events))
+    return Path(t, _bumps(u, events, 2, noise_sigma, seed), ("y1", "y2"))
 
 
 def three_channel_event_series(
@@ -188,23 +221,7 @@ def three_channel_event_series(
     """
     _check_samples(samples)
     t = np.linspace(0.0, 1.0, samples)
-    values = np.zeros((samples, 3))
-    for ev in events:
-        if not 0.0 <= ev.time <= 1.0:
-            raise ValueError(f"event time {ev.time} outside [0, 1]")
-        for ch in (ev.leader, ev.follower):
-            if not 1 <= ch <= 3:
-                raise ValueError(f"event channel {ch} outside [1, 3]")
-        values[:, ev.leader - 1] += ev.amplitude * _raised_cosine(
-            t, ev.time, ev.width
-        )
-        values[:, ev.follower - 1] += ev.amplitude * _raised_cosine(
-            t, ev.time + ev.lag, ev.width
-        )
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        values = values + rng.normal(0.0, noise_sigma, values.shape)
-    return Path(t, values, ("y1", "y2", "y3"))
+    return Path(t, _bumps(t, events, 3, noise_sigma, seed), ("y1", "y2", "y3"))
 
 
 def default_three_channel_events() -> Tuple[Event, Event]:

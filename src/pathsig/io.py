@@ -12,7 +12,6 @@ import contextlib
 import csv
 import io as _io
 import json
-from dataclasses import fields
 from typing import (
     IO,
     Iterable,
@@ -53,8 +52,39 @@ class CsvFormatError(ValueError):
     """Input CSV does not match the expected path layout."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+#: rows formatted by one % operation; bounds the tuple of a block's cells
+_BLOCK_ROWS = 4096
+
+
+def _csv_line(cells: Sequence[str]) -> str:
+    """One csv row of text cells, quoted as csv.writer quotes them. csv
+    quotes a cell holding its line terminator "\n" but not a lone "\r",
+    which a reader takes for a line break, so a "\r" in any cell quotes
+    them all."""
+    buf = _io.StringIO()
+    lone_cr = any("\r" in c for c in cells)
+    quoting = csv.QUOTE_ALL if lone_cr else csv.QUOTE_MINIMAL
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerow(cells)
+    return buf.getvalue()
+
+
+def _rows(lead: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """csv text of one row per entry of the columns, a block at a time.
+
+    A row is the lead's cells, quoted by _csv_line, then the row's entries
+    of each 1-D or 2-D column to 17 significant digits (a bool as 0 or 1).
+    Columns are stacked per block, never whole.
+    """
+    cells = []
+    if lead:
+        # csv writes a row of one empty cell as "", in a longer row as nothing
+        text = "" if list(lead) == [""] else _csv_line(lead)[:-1]
+        cells.append(text.replace("%", "%%"))
+    cells += ["%.17g"] * sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+    row = ",".join(cells) + "\n"
+    for k in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[k:k + _BLOCK_ROWS] for c in columns])
+        yield row * len(block) % tuple(block.ravel().tolist())
 
 
 @contextlib.contextmanager
@@ -145,11 +175,8 @@ def _parse_path_csv(source: IO[str]) -> Path:
 
 
 def load_events(source: Source) -> List[Event]:
-    """Read a JSON list of events, checking each field's type.
-
-    Each item holds the keyword arguments of one Event; leader and follower
-    must be integers and the other fields numbers (bools are neither).
-    """
+    """Read a JSON list of events, each item the keyword arguments of one
+    Event; a field Event rejects is reported as bad input."""
     with utf8_text(source) as fh:
         try:
             raw = json.load(fh)
@@ -160,40 +187,15 @@ def load_events(source: Source) -> List[Event]:
     events = []
     for k, item in enumerate(raw):
         try:
-            event = Event(**item)
-        except TypeError as exc:
+            events.append(Event(**item))
+        except (TypeError, ValueError) as exc:
             raise CsvFormatError(f"event {k}: {exc}") from None
-        for f in fields(Event):
-            value = getattr(event, f.name)
-            integer = f.name in ("leader", "follower")
-            if isinstance(value, bool) or not isinstance(
-                value, int if integer else (int, float)
-            ):
-                kind = "an integer" if integer else "a number"
-                raise CsvFormatError(
-                    f"event {k}: {f.name} must be {kind}, got {value!r}"
-                )
-            try:
-                float(value)
-            except OverflowError:  # an int past the float range
-                raise CsvFormatError(f"event {k}: {f.name} is too large") from None
-        events.append(event)
     return events
 
 
 def path_to_csv(a: Path) -> str:
-    buf = _io.StringIO()
-    header = ("time",) + tuple(a.channel_names)
-    # csv quotes a name holding its line terminator "\n", not a lone "\r"
-    lone_cr = any("\r" in h for h in header)
-    quoting = csv.QUOTE_ALL if lone_cr else csv.QUOTE_MINIMAL
-    csv.writer(buf, lineterminator="\n", quoting=quoting).writerow(header)
-    writer = csv.writer(buf, lineterminator="\n")
-    for k in range(a.n_samples):
-        writer.writerow(
-            [_fmt(a.times[k])] + [_fmt(v) for v in a.values[k]]
-        )
-    return buf.getvalue()
+    header = _csv_line(("time",) + tuple(a.channel_names))
+    return "".join([header, *_rows((), [a.times, a.values])])
 
 
 def canonical_json(obj: object) -> bytes:
@@ -216,12 +218,10 @@ def artifact(
 
 
 def lead_matrix_csv(matrix: LeadMatrix) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("",) + tuple(matrix.channel_names))
+    out = [_csv_line(("",) + tuple(matrix.channel_names))]
     for name, row in zip(matrix.channel_names, matrix.values):
-        writer.writerow([name] + [_fmt(v) for v in row])
-    return buf.getvalue()
+        out.extend(_rows((name,), [row[None]]))
+    return "".join(out)
 
 
 def reports_artifact(
@@ -233,53 +233,23 @@ def reports_artifact(
     )
 
 
-_REPORT_COLUMNS = (
-    "statistic",
-    "i",
-    "j",
-    "time",
-    "observed",
-    "null_mean",
-    "null_std",
-    "band_lo",
-    "band_hi",
-    "significant",
-)
-
-
 def reports_csv(reports: Sequence[SignificanceReport]) -> str:
     """Tidy layout, one row per (pair, time): ready for pandas or gnuplot."""
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_REPORT_COLUMNS)
+    out = ["statistic,i,j,time,observed,null_mean,null_std,band_lo,band_hi,"
+           "significant\n"]
     for r in reports:
         i, j = r.pair if r.pair is not None else (0, 0)
-        for k in range(len(r.times)):
-            writer.writerow(
-                [
-                    r.statistic_name,
-                    i,
-                    j,
-                    _fmt(r.times[k]),
-                    _fmt(r.observed[k]),
-                    _fmt(r.null_mean[k]),
-                    _fmt(r.null_std[k]),
-                    _fmt(r.band_lo[k]),
-                    _fmt(r.band_hi[k]),
-                    int(r.significant_mask[k]),
-                ]
-            )
-    return buf.getvalue()
+        columns = [r.times, r.observed, r.null_mean, r.null_std, r.band_lo,
+                   r.band_hi, r.significant_mask]
+        out.extend(_rows((r.statistic_name, str(i), str(j)), columns))
+    return "".join(out)
 
 
 Curve = Tuple[str, Tuple[int, int], np.ndarray, np.ndarray]
 
 
 def curves_csv(curves: Iterable[Curve]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("statistic", "i", "j", "time", "value"))
+    out = ["statistic,i,j,time,value\n"]
     for name, (i, j), times, vals in curves:
-        for t, v in zip(times, vals):
-            writer.writerow([name, i, j, _fmt(t), _fmt(v)])
-    return buf.getvalue()
+        out.extend(_rows((name, str(i), str(j)), [times, vals]))
+    return "".join(out)

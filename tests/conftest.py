@@ -1,9 +1,21 @@
 from __future__ import annotations
 
+import argparse
+
 import numpy as np
 import pytest
 
 from pathsig import Path
+
+
+def leaf_commands(parser: argparse.ArgumentParser, prefix=()):
+    """(argv prefix, parser) for every leaf (sub)command of the CLI."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from leaf_commands(sub, prefix + (name,))
+            return
+    yield prefix, parser
 
 
 def random_path(

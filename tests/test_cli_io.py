@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -8,13 +9,14 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathsig import Path, signature
+from pathsig import LeadMatrix, Path, SignificanceReport, signature
 from pathsig.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -26,10 +28,13 @@ from pathsig.cli import (
 from pathsig.io import (
     CsvFormatError,
     canonical_json,
+    curves_csv,
+    lead_matrix_csv,
     load_path_csv,
     path_to_csv,
+    reports_csv,
 )
-from conftest import random_path
+from conftest import leaf_commands, random_path
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 UNIFORM = str(GOLDEN / "gen_events.csv")  # 3 channels, dt = 1/255
@@ -120,6 +125,182 @@ def test_csv_round_trip_is_bit_exact_on_any_path(a):
     assert back.times.tobytes() == a.times.tobytes()
     assert back.values.tobytes() == a.values.tobytes()
     assert back.channel_names == a.channel_names
+
+
+# ---------------------------------------------------------------------------
+# CSV writers against the cell-by-cell csv.writer loops they replaced
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _cell_path_to_csv(a: Path) -> str:
+    buf = io.StringIO()
+    header = ("time",) + tuple(a.channel_names)
+    # csv quotes a name holding its line terminator "\n", not a lone "\r"
+    lone_cr = any("\r" in h for h in header)
+    quoting = csv.QUOTE_ALL if lone_cr else csv.QUOTE_MINIMAL
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerow(header)
+    writer = csv.writer(buf, lineterminator="\n")
+    for k in range(a.n_samples):
+        writer.writerow(
+            [_fmt(a.times[k])] + [_fmt(v) for v in a.values[k]]
+        )
+    return buf.getvalue()
+
+
+def _cell_lead_matrix_csv(matrix: LeadMatrix) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("",) + tuple(matrix.channel_names))
+    for name, row in zip(matrix.channel_names, matrix.values):
+        writer.writerow([name] + [_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+_REPORT_COLUMNS = (
+    "statistic",
+    "i",
+    "j",
+    "time",
+    "observed",
+    "null_mean",
+    "null_std",
+    "band_lo",
+    "band_hi",
+    "significant",
+)
+
+
+def _cell_reports_csv(reports) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_REPORT_COLUMNS)
+    for r in reports:
+        i, j = r.pair if r.pair is not None else (0, 0)
+        for k in range(len(r.times)):
+            writer.writerow(
+                [
+                    r.statistic_name,
+                    i,
+                    j,
+                    _fmt(r.times[k]),
+                    _fmt(r.observed[k]),
+                    _fmt(r.null_mean[k]),
+                    _fmt(r.null_std[k]),
+                    _fmt(r.band_lo[k]),
+                    _fmt(r.band_hi[k]),
+                    int(r.significant_mask[k]),
+                ]
+            )
+    return buf.getvalue()
+
+
+def _cell_curves_csv(curves) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("statistic", "i", "j", "time", "value"))
+    for name, (i, j), times, vals in curves:
+        for t, v in zip(times, vals):
+            writer.writerow([name, i, j, _fmt(t), _fmt(v)])
+    return buf.getvalue()
+
+
+# a "\r" in a lead cell is left out: the writers now quote it (see below)
+_LEADS = st.text(
+    st.one_of(
+        st.sampled_from(',"%\n #'),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+    ),
+    max_size=5,
+)
+_ANY_FLOATS = st.one_of(_FLOATS, st.sampled_from([np.inf, -np.inf, np.nan]))
+
+
+def _arrays(n, elements=_ANY_FLOATS):
+    return st.lists(elements, min_size=n, max_size=n).map(np.array)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_csv_paths())
+def test_path_csv_matches_cell_writer(a):
+    assert path_to_csv(a) == _cell_path_to_csv(a)
+
+
+def test_path_csv_matches_cell_writer_across_blocks(rng):
+    a = random_path(rng, n_samples=10_000, n_channels=3, uniform=False)
+    assert path_to_csv(a) == _cell_path_to_csv(a)
+
+
+@st.composite
+def _lead_matrices(draw):
+    n = draw(st.integers(0, 4))
+    names = draw(st.lists(_LEADS, min_size=n, max_size=n))
+    values = draw(st.lists(_arrays(n), min_size=n, max_size=n))
+    return LeadMatrix(tuple(names), np.array(values).reshape(n, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lead_matrices())
+def test_lead_matrix_csv_matches_cell_writer(matrix):
+    assert lead_matrix_csv(matrix) == _cell_lead_matrix_csv(matrix)
+
+
+@st.composite
+def _reports(draw):
+    n = draw(st.integers(0, 5))
+    arrays = {
+        name: draw(_arrays(n))
+        for name in ("times", "observed", "null_mean", "null_std", "band_lo",
+                     "band_hi")
+    }
+    return SignificanceReport(
+        statistic_name=draw(_LEADS),
+        pair=draw(st.one_of(st.none(), st.tuples(st.integers(0, 99),
+                                                 st.integers(0, 99)))),
+        significant_mask=draw(_arrays(n, st.booleans())).astype(bool),
+        runs=(),
+        replicates=2,
+        seed=0,
+        band_sigmas=3.0,
+        band_mode="gaussian",
+        min_run_length=1,
+        **arrays,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_reports(), max_size=3))
+def test_reports_csv_matches_cell_writer(reports):
+    assert reports_csv(reports) == _cell_reports_csv(reports)
+
+
+_curves = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        _LEADS,
+        st.tuples(st.integers(-9, 99), st.integers(-9, 99)),
+        _arrays(n),
+        _arrays(n),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_curves, max_size=3))
+def test_curves_csv_matches_cell_writer(curves):
+    assert curves_csv(curves) == _cell_curves_csv(curves)
+
+
+def test_a_lone_cr_in_a_name_or_statistic_reads_back_as_one_cell():
+    matrix = LeadMatrix(("a\rb", "c"), np.array([[0.0, 1.5], [-1.5, 0.0]]))
+    rows = list(csv.reader(io.StringIO(lead_matrix_csv(matrix))))
+    assert rows == [["", "a\rb", "c"], ["a\rb", "0", "1.5"], ["c", "-1.5", "0"]]
+    times = np.array([0.0, 1.0])
+    rows = list(csv.reader(io.StringIO(
+        curves_csv([("x\ry", (1, 2), times, times)])
+    )))
+    assert [r[0] for r in rows] == ["statistic", "x\ry", "x\ry"]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +425,22 @@ def test_oversized_allocation_is_config_error(argv, message, capsys):
     assert peak < 2**20
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+def test_replicates_times_windows_over_the_cap_is_config_error(capsys):
+    """Refused before the (replicates, windows) curve matrix is allocated;
+    the peak is the input and the observed curve, computed first."""
+    code, peak = _peak_of_main(
+        ["slidearea", UNIFORM, "--pairs", "1,2", "--window", "0.1",
+         "--stride", "0.05", "--smooth-sigma", "0", "--replicates",
+         "1000000000", "--seed", "1"]
+    )
+    assert code == EXIT_CONFIG
+    assert peak < 2**22
+    assert capsys.readouterr().err == (
+        "pathsig: config error: 1000000000 replicates x 18 windows is over "
+        "the cap of 2097152\n"
+    )
 
 
 def test_stride_far_below_dt_starts_a_window_at_every_sample(capsys):
@@ -535,6 +732,37 @@ def test_gen_events_rejects_non_numeric_field(tmp_path, capsys, event):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "field", ['"width": 0', '"width": -0.1', '"lag": NaN', '"amplitude": -Infinity']
+)
+def test_gen_events_rejects_bad_field_value(field, tmp_path, capsys):
+    ev = tmp_path / "ev.json"
+    ev.write_text(f'[{{"time": 0.4, "leader": 1, "follower": 2, {field}}}]')
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["gen", "events", "--events", str(ev), "-o", str(out)])
+    assert code == EXIT_DATA
+    assert not caught
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("pathsig: bad input: event 0: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("generator", ["cyclic", "events"])
+def test_gen_rejects_non_finite_or_negative_noise(generator, noise, tmp_path,
+                                                  capsys):
+    out = tmp_path / "out.csv"
+    argv = ["gen", generator, "--samples", "32", f"--noise={noise}", "-o", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"pathsig: config error: noise_sigma must be finite and >= 0: "
+        f"{float(noise)}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # environment overrides
 
@@ -613,16 +841,6 @@ def test_env_can_satisfy_required_seed(tmp_path, capsys, monkeypatch):
     assert _json_out(capsys)["result"]["caused"] == 2
 
 
-def _commands(parser, prefix=()):
-    """(argv prefix, parser) for every leaf (sub)command of the CLI."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                yield from _commands(sub, prefix + (name,))
-            return
-    yield prefix, parser
-
-
 def _options(parser):
     return [
         a for a in parser._actions
@@ -630,7 +848,7 @@ def _options(parser):
     ]
 
 
-COMMANDS = dict(_commands(build_parser()))
+COMMANDS = dict(leaf_commands(build_parser()))
 
 # a value for every option dest; each differs from the built-in default
 ENV_VALUES = {

@@ -1,7 +1,15 @@
 from __future__ import annotations
 
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathsig import (
     Event,
@@ -180,3 +188,136 @@ def test_event_series_seeded_noise_and_validation():
         three_channel_event_series([Event(time=0.5, leader=0, follower=2)])
     with pytest.raises(ValueError):
         three_channel_event_series([], samples=4)
+
+
+def test_event_fields_are_checked_on_construction():
+    with pytest.raises(TypeError, match="leader must be an integer, got 1.0"):
+        Event(time=0.5, leader=1.0, follower=2)
+    with pytest.raises(TypeError, match="amplitude must be a number"):
+        Event(time=0.5, leader=1, follower=2, amplitude=True)
+    with pytest.raises(ValueError, match="lag is too large"):
+        Event(time=0.5, leader=1, follower=2, lag=10**400)
+    for width in (0, 0.0, -0.1):
+        with pytest.raises(ValueError, match="width must be > 0"):
+            Event(time=0.5, leader=1, follower=2, width=width)
+    for field in ("lag", "width", "amplitude"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                Event(time=0.5, leader=1, follower=2, **{field: value})
+
+
+@pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, -1.0])
+def test_non_finite_or_negative_noise_is_rejected(noise):
+    with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+        cyclic_pair(samples=32, noise_sigma=noise)
+    with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+        three_channel_event_series(
+            default_three_channel_events(), samples=32, noise_sigma=noise
+        )
+
+
+# ---------------------------------------------------------------------------
+# the bump builder against evaluating every bump over the whole grid
+
+
+def _raised_cosine(u, center, width):
+    rel = (u - center) / width
+    return np.where(np.abs(rel) <= 1.0, 0.5 * (1.0 + np.cos(np.pi * rel)), 0.0)
+
+
+def _full_grid_cyclic(n_events, phase_lag, warp, samples, noise_sigma, seed):
+    period = 1.0 / n_events
+    width = 0.25 * period
+    t = np.linspace(0.0, 1.0, samples)
+    u = t if warp is None else np.asarray(warp(t), dtype=float)
+    centers = (np.arange(n_events) + 0.5) * period
+    g1 = np.zeros_like(u)
+    g2 = np.zeros_like(u)
+    for c in centers:
+        g1 += _raised_cosine(u, c, width)
+        g2 += _raised_cosine(u, c + phase_lag * period, width)
+    values = np.column_stack([g1, g2])
+    if noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        values = values + rng.normal(0.0, noise_sigma, values.shape)
+    return values
+
+
+def _full_grid_events(events, samples, noise_sigma, seed):
+    t = np.linspace(0.0, 1.0, samples)
+    values = np.zeros((samples, 3))
+    for ev in events:
+        values[:, ev.leader - 1] += ev.amplitude * _raised_cosine(
+            t, ev.time, ev.width
+        )
+        values[:, ev.follower - 1] += ev.amplitude * _raised_cosine(
+            t, ev.time + ev.lag, ev.width
+        )
+    if noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        values = values + rng.normal(0.0, noise_sigma, values.shape)
+    return values
+
+
+_NOISE = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+# tiny widths, widths past the grid, and centres at and beyond its ends
+_events = st.builds(
+    Event,
+    time=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+    leader=st.integers(1, 3),
+    follower=st.integers(1, 3),
+    lag=st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 1 / 255]), st.floats(-2.0, 2.0)
+    ),
+    width=st.one_of(
+        st.sampled_from([5e-324, 1e-300, 1e-9, 1 / 255, 0.5, 5.0, 1e6]),
+        st.floats(1e-4, 0.3),
+    ),
+    amplitude=st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-3.0, 3.0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_events, min_size=1, max_size=6),
+    st.integers(16, 600),
+    _NOISE,
+    st.integers(0, 2**32),
+)
+def test_event_series_matches_full_grid_bumps(events, samples, noise, seed):
+    with np.errstate(all="ignore"):
+        a = three_channel_event_series(events, samples, noise, seed)
+        expected = _full_grid_events(events, samples, noise, seed)
+    assert a.values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(16, 600),
+    st.data(),
+    st.floats(-0.99, 0.99),
+    st.one_of(st.none(), st.floats(0.2, 5.0)),
+    _NOISE,
+    st.integers(0, 2**32),
+)
+def test_cyclic_pair_matches_full_grid_bumps(samples, data, lag, power, noise,
+                                             seed):
+    n_events = data.draw(st.integers(1, min(samples, 80)))
+    warp = None if power is None else (lambda u: u**power)
+    a = cyclic_pair(n_events, lag, warp, samples, noise, seed)
+    expected = _full_grid_cyclic(n_events, lag, warp, samples, noise, seed)
+    assert a.values.tobytes() == expected.tobytes()
+
+
+def test_many_cyclic_events_are_linear_in_their_count():
+    """20,000 events over 200,000 samples: a full-grid loop takes minutes."""
+    code = (
+        "from pathsig.dynamics import cyclic_pair\n"
+        "cyclic_pair(n_events=20000, samples=200000)\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=10, capture_output=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,10 +1,12 @@
-"""Malformed-input fuzzing of the CLI.
+"""Malformed-input and flag fuzzing of the CLI.
 
 Random and mutated CSV bytes go through `sig`, `leadmatrix` and `slidearea`,
 and random events files through `gen events --events`, all by calling main()
 in process. Whatever the bytes, main must return 0 (the input was usable),
 3 (bad input) or 5 (a config or size error), never raise, never print a
 traceback, and on failure end stderr with a one-line `pathsig: ` message.
+Every int and float option of every (sub)command gets the same check over
+a fixed set of extreme values, within a memory and a time budget.
 """
 
 from __future__ import annotations
@@ -13,13 +15,18 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import signal
 import tempfile
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathsig.cli import main
+from pathsig.cli import build_parser, main
+from conftest import leaf_commands
 
 CSV_COMMANDS = (
     ["sig", "--level", "2"],
@@ -156,3 +163,86 @@ def test_escapes_the_fuzzer_found_are_data_errors(argv, data, tmp_path):
     code, err = _run([str(path) if a == "INPUT" else a for a in argv])
     assert code == 3
     _assert_clean_exit(code, err)
+
+
+# ---------------------------------------------------------------------------
+# numeric flags
+
+GOLDEN_EVENTS = str(pathlib.Path(__file__).parent / "golden" / "gen_events.csv")
+_WINDOWED = ["--pairs", "1,2", "--window", "0.1", "--stride", "0.05",
+             "--replicates", "4", "--seed", "1"]
+# a small run of each (sub)command that exits 0; the fuzzed flag comes last
+FLAG_BASE = {
+    "sig": ["--level", "2"],
+    "logsig": ["--level", "2"],
+    "leadmatrix": [],
+    "slidearea": _WINDOWED + ["--smooth-sigma", "0"],
+    "influence": _WINDOWED,
+    "xcorr": ["--pairs", "1,2", "--lags", "0.05"],
+    "granger": ["--caused", "2", "--covariates", "1"],
+    "gen lorenz": ["--steps", "100"],
+    "gen cyclic": ["--samples", "64"],
+    "gen events": ["--samples", "64"],
+}
+FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", str(10**9),
+               str(10**21)]
+FLAG_PEAK = 32 * 2**20  # bytes, per run
+FLAG_SECONDS = 2.0  # per run
+
+
+def _numeric_options(parser):
+    return [a for a in parser._actions if a.type in (int, float)]
+
+
+class _OverBudget(Exception):
+    """Not an OSError, which main would report as an i/o failure."""
+
+
+def _over_budget(signum, frame):
+    raise _OverBudget(f"over {FLAG_SECONDS} s")
+
+
+def test_flag_table_is_covered():
+    commands = {" ".join(c): p for c, p in leaf_commands(build_parser())}
+    assert commands.keys() == FLAG_BASE.keys()
+    assert sum(len(_numeric_options(p)) for p in commands.values()) >= 40
+
+
+@pytest.mark.parametrize("command", list(FLAG_BASE))
+def test_numeric_flags_end_in_a_clean_exit(command):
+    """Each int/float option at each extreme value: exit 0, 3 or 5 (or 2
+    when the option's type refuses the token), within the budgets."""
+    words = command.split()
+    parser = dict(leaf_commands(build_parser()))[tuple(words)]
+    argv = words + ([] if words[0] == "gen" else [GOLDEN_EVENTS])
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    tracemalloc.start()
+    try:
+        for action in _numeric_options(parser):
+            for value in FLAG_VALUES:
+                flag = f"{action.option_strings[-1]}={value}"
+                tracemalloc.reset_peak()
+                start = time.perf_counter()
+                signal.setitimer(signal.ITIMER_REAL, FLAG_SECONDS)
+                try:
+                    code, err = _run(argv + FLAG_BASE[command] + [flag])
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                elapsed = time.perf_counter() - start
+                try:
+                    action.type(value)
+                    refused = False
+                except ValueError:
+                    refused = True
+                case = f"{command} {flag}: exit {code}, {err!r}"
+                if refused:
+                    assert code == 2, case
+                    assert "error: argument" in err.splitlines()[-1], case
+                else:
+                    _assert_clean_exit(code, err)
+                assert "Traceback" not in err, case
+                assert tracemalloc.get_traced_memory()[1] < FLAG_PEAK, case
+                assert elapsed < FLAG_SECONDS, case
+    finally:
+        tracemalloc.stop()
+        signal.signal(signal.SIGALRM, previous)
