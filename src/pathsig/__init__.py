@@ -4,117 +4,18 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .tensor_algebra import (
-    DimensionMismatch,
-    TruncatedTensor,
-    lyndon_words,
-    shuffle,
-    tensor_exp,
-    tensor_log,
-    tensor_product,
-    word_index,
-    words_of_length,
-)
-from .path_core import (
-    Path,
-    PreprocessConfig,
-    concat,
-    gaussian_smooth,
-    inverse,
-    one_variation,
-    preprocess,
-    reduce_path,
-    reparametrize,
-)
-from .signature import (
-    DEFAULT_LEVEL_CAP,
-    SignatureResult,
-    signature,
-    signature_derivative,
-    signature_derivative_integral,
-    signature_oracle,
-)
-from .leadlag import (
-    LeadMatrix,
-    close_path,
-    family_area,
-    lead_matrix,
-    signed_area,
-    signed_area_via_winding,
-    winding_number,
-)
-from .causality import (
-    NullModelSpec,
-    Run,
-    SignificanceReport,
-    WindowSpec,
-    cross_correlation,
-    granger_var,
-    mix_seed,
-    shuffle_channels,
-    shuffle_null,
-    sliding_signature_derivative,
-    sliding_signed_area,
-)
-from .dynamics import (
-    Event,
-    IntegrationError,
-    LorenzParams,
-    cyclic_pair,
-    default_three_channel_events,
-    lorenz,
-    three_channel_event_series,
-)
+from . import causality, dynamics, leadlag, path_core, signature
+from . import tensor_algebra
 
-__all__ = [
-    "__version__",
-    "DimensionMismatch",
-    "TruncatedTensor",
-    "lyndon_words",
-    "shuffle",
-    "tensor_exp",
-    "tensor_log",
-    "tensor_product",
-    "word_index",
-    "words_of_length",
-    "Path",
-    "PreprocessConfig",
-    "concat",
-    "gaussian_smooth",
-    "inverse",
-    "one_variation",
-    "preprocess",
-    "reduce_path",
-    "reparametrize",
-    "DEFAULT_LEVEL_CAP",
-    "SignatureResult",
-    "signature",
-    "signature_derivative",
-    "signature_derivative_integral",
-    "signature_oracle",
-    "LeadMatrix",
-    "close_path",
-    "family_area",
-    "lead_matrix",
-    "signed_area",
-    "signed_area_via_winding",
-    "winding_number",
-    "NullModelSpec",
-    "Run",
-    "SignificanceReport",
-    "WindowSpec",
-    "cross_correlation",
-    "granger_var",
-    "mix_seed",
-    "shuffle_channels",
-    "shuffle_null",
-    "sliding_signature_derivative",
-    "sliding_signed_area",
-    "Event",
-    "IntegrationError",
-    "LorenzParams",
-    "cyclic_pair",
-    "default_three_channel_events",
-    "lorenz",
-    "three_channel_event_series",
-]
+# the package exports each module's public names; computed before the star
+# imports, which rebind `signature` from the module to the function
+_MODULES = (tensor_algebra, path_core, signature, leadlag, causality, dynamics)
+__all__ = ["__version__"] + [n for m in _MODULES for n in m.__all__]
+del _MODULES
+
+from .tensor_algebra import *  # noqa: E402,F401,F403
+from .path_core import *  # noqa: E402,F401,F403
+from .signature import *  # noqa: E402,F401,F403
+from .leadlag import *  # noqa: E402,F401,F403
+from .causality import *  # noqa: E402,F401,F403
+from .dynamics import *  # noqa: E402,F401,F403

@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .path_core import Path, PreprocessConfig, preprocess
-from .signature import MAX_COEFFICIENTS, signature_derivative
+from .path_core import MAX_COEFFICIENTS, Path, PreprocessConfig, preprocess
+from .signature import signature_derivative
 from .signature import signature_derivative_integral
 
 __all__ = [
@@ -321,7 +321,8 @@ def shuffle_null(
     the statistic over windows w). Replicate r draws its own generator from
     mix_seed(spec.seed, r), and curves are reduced with numpy's pairwise
     mean/std, so the report is a pure function of (input, spec) regardless
-    of execution schedule.
+    of execution schedule. Raises ValueError when the observed curve or the
+    null's mean, std or bands overflow float64.
     """
 
     def pipeline(p: Path) -> Tuple[np.ndarray, np.ndarray]:
@@ -329,28 +330,35 @@ def shuffle_null(
             p = preprocess(p, preprocess_cfg)
         return statistic(p, w)
 
-    times, observed = pipeline(a)
-    if spec.replicates * observed.size > MAX_COEFFICIENTS:
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, observed = pipeline(a)
+        if not np.isfinite(observed).all():
+            raise ValueError(f"the {statistic_name} curve is not finite")
+        if spec.replicates * observed.size > MAX_COEFFICIENTS:
+            raise ValueError(
+                f"{spec.replicates} replicates x {observed.size} windows is "
+                f"over the cap of {MAX_COEFFICIENTS}"
+            )
+        curves = np.empty((spec.replicates, observed.size))
+        for r in range(spec.replicates):
+            _, curve = pipeline(shuffle_channels(a, mix_seed(spec.seed, r)))
+            if curve.size != observed.size:
+                raise ValueError("statistic changed length under shuffling")
+            curves[r] = curve
+        null_mean = curves.mean(axis=0)
+        null_std = curves.std(axis=0)
+        if spec.band_mode == "gaussian":
+            band_lo = null_mean - spec.band_sigmas * null_std
+            band_hi = null_mean + spec.band_sigmas * null_std
+        else:
+            # empirical quantiles at the two-sided coverage of +-k sigma
+            p_lo = 0.5 * math.erfc(spec.band_sigmas / math.sqrt(2.0))
+            band_lo = np.quantile(curves, p_lo, axis=0)
+            band_hi = np.quantile(curves, 1.0 - p_lo, axis=0)
+    if not np.isfinite([null_mean, null_std, band_lo, band_hi]).all():
         raise ValueError(
-            f"{spec.replicates} replicates x {observed.size} windows is over "
-            f"the cap of {MAX_COEFFICIENTS}"
+            f"the null bands are not finite at band_sigmas={spec.band_sigmas:g}"
         )
-    curves = np.empty((spec.replicates, observed.size))
-    for r in range(spec.replicates):
-        _, curve = pipeline(shuffle_channels(a, mix_seed(spec.seed, r)))
-        if curve.size != observed.size:
-            raise ValueError("statistic changed length under shuffling")
-        curves[r] = curve
-    null_mean = curves.mean(axis=0)
-    null_std = curves.std(axis=0)
-    if spec.band_mode == "gaussian":
-        band_lo = null_mean - spec.band_sigmas * null_std
-        band_hi = null_mean + spec.band_sigmas * null_std
-    else:
-        # empirical quantiles at the two-sided coverage of +-k sigma
-        p_lo = 0.5 * math.erfc(spec.band_sigmas / math.sqrt(2.0))
-        band_lo = np.quantile(curves, p_lo, axis=0)
-        band_hi = np.quantile(curves, 1.0 - p_lo, axis=0)
     above = observed > band_hi
     below = observed < band_lo
     mask = above | below

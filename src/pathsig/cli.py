@@ -5,13 +5,14 @@ artifacts use sorted keys and fixed separators, CSV artifacts are written
 row by row in a fixed order, so re-running a command reproduces the bytes
 exactly.
 
-Two tables declare every option once, _COMMANDS and _GENERATORS, and
-build_parser() turns them into the argparse tree. Each option of the chosen
-(sub)command, -h and --version aside, falls back to PATHSIG_<DEST>
-(PATHSIG_LEVEL, PATHSIG_SMOOTH_SIGMA, PATHSIG_N_EVENTS, ...): an explicit
-flag wins over the variable, the variable over the built-in default, and a
-variable for an option the command lacks is ignored. Booleans accept
-1/0/true/false/yes/no/on/off; lists split on spaces or ';'.
+Two tables declare every option and its allowed values once, _COMMANDS
+and _GENERATORS, and build_parser() turns them into the argparse tree.
+Each option of the chosen (sub)command, -h and --version aside, falls back
+to PATHSIG_<DEST> (PATHSIG_LEVEL, PATHSIG_SMOOTH_SIGMA, PATHSIG_N_EVENTS,
+...): an explicit flag wins over the variable, the variable over the
+built-in default, and a variable for an option the command lacks is
+ignored. Booleans accept 1/0/true/false/yes/no/on/off; lists split on
+spaces or ';'.
 
 The resolved argparse namespace is the run's config: _config_from_args
 checks it in place, every handler reads it, and _echo writes the config
@@ -19,11 +20,18 @@ block that each artifact carries. Each handler returns (kind, JSON payload
 thunk, CSV body thunk) and one emitter renders the requested format,
 wrapping JSON with io.artifact and CSV with `# key=value` provenance lines.
 
-Exit codes: 0 success, 2 usage (argparse), 3 bad input data (non-UTF-8
-bytes and bad event fields included), 4 I/O failure, 5 configuration
-conflict (non-finite window, smoothing, band or noise values included), a
-size cap (a generated dataset's rows and replicates x windows included) or
-a diverging integration.
+The config block is one rule over the command's options, less the output
+path: an artifact must not depend on where it was written. A generator
+echoes them whole under "generator", and its seed on top; an analysis its
+preprocessing as the resolved "preprocess" block, the null-model options
+only with --replicates, and the rest unless None or False.
+
+Exit codes: 0 success, 2 usage (argparse; a flag outside its choices
+included), 3 bad input data (non-UTF-8 bytes and bad event fields
+included), 4 I/O failure, 5 configuration conflict (non-finite window,
+smoothing, band or noise values and bad PATHSIG_* values included), a size
+cap (a generated dataset's rows and replicates x windows included), a
+result or null band that overflows float64, or a diverging integration.
 """
 
 from __future__ import annotations
@@ -31,8 +39,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import __version__
 from .causality import (
@@ -105,7 +115,7 @@ _SOURCE = [
     _OUTPUT,
     _opt("--smooth-sigma", float),
     _opt("--center", **_SWITCH),
-    _opt("--normalize", default="none"),
+    _opt("--normalize", choices=("per", "global", "none"), default="none"),
     _opt("--prepend-zero", **_SWITCH),
 ]
 _FORMAT = _opt("--format", choices=("json", "csv"), default="json")
@@ -123,7 +133,7 @@ _WINDOWED = _SOURCE + [
     _opt("--seed", int),
     _opt("--sigmas", float, 3.0),
     _opt("--min-run", int, 5),
-    _opt("--band-mode", default="gaussian"),
+    _opt("--band-mode", choices=("gaussian", "quantile"), default="gaussian"),
     _PAIRS,
 ]
 _LEVEL = _opt("--level", int)
@@ -205,13 +215,10 @@ _GENERATORS = {
     + _SAMPLING,
 }
 
-# string options checked after resolution, so that a bad value from the
-# environment is reported like a bad flag
-_CHOICES = {
-    "format": ("json", "csv"),
-    "normalize": ("per", "global", "none"),
-    "band_mode": ("gaussian", "quantile"),
-}
+# the options that build PreprocessConfig, named as its fields
+_PREPROCESS = tuple(f.name for f in fields(PreprocessConfig))
+# the options of a null model, echoed only when --replicates draws one
+_NULL_MODEL = ("replicates", "sigmas", "min_run", "band_mode")
 
 
 def _add_command(sub, name: str, options: List[Option], help_=None) -> None:
@@ -278,7 +285,10 @@ def _from_env(action: argparse.Action, name: str):
         cast = action.type or str
         if action.nargs in ("+", "*"):
             return [cast(tok) for tok in raw.replace(";", " ").split()]
-        return cast(raw)
+        value = cast(raw)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{value!r} is not one of {action.choices}")
+        return value
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {name}: {exc}") from None
 
@@ -302,13 +312,6 @@ def _parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 def _config_from_args(args: Config) -> Config:
     """Check the parsed options in place and return them as the config."""
     given = vars(args)
-    for dest, allowed in _CHOICES.items():
-        value = given.get(dest, allowed[0])
-        if value not in allowed:
-            raise ConfigError(
-                f"--{dest.replace('_', '-')} must be one of "
-                f"{', '.join(allowed)}; got {value!r}"
-            )
     if args.command == "gen":
         args.format = "csv"
         if "x0" in given:
@@ -322,17 +325,11 @@ def _config_from_args(args: Config) -> Config:
         if given.get("thin", 1) < 1:
             raise ConfigError("--thin must be >= 1")
     else:
-        try:
-            raw = given.get("pairs")
-            args.pairs = _parse_pairs(" ".join(raw)) if raw is not None else ()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        args.preprocess = PreprocessConfig(
-            smooth_sigma=args.smooth_sigma or 0.0,
-            center=args.center,
-            normalize=args.normalize,
-            prepend_zero=args.prepend_zero,
-        )
+        raw = given.get("pairs")
+        args.pairs = _parse_pairs(" ".join(raw)) if raw is not None else ()
+        steps = {dest: given[dest] for dest in _PREPROCESS}
+        steps["smooth_sigma"] = args.smooth_sigma or 0.0
+        args.preprocess = PreprocessConfig(**steps)
     for dest, default in (("format", "json"), ("seed", None), ("replicates", 0)):
         given.setdefault(dest, default)
     _validate_config(args)
@@ -363,40 +360,18 @@ def _validate_config(cfg: Config) -> None:
 
 
 def _echo(cfg: Config) -> dict:
-    """The config block of an artifact. Input and output paths are left
-    out: the artifact must not depend on where it was read or written."""
-    given = vars(cfg)
-    out: Dict[str, object] = {"command": cfg.command, "format": cfg.format}
-    if given.get("level") is not None:
-        out["level"] = cfg.level
-    if given.get("pairs"):
-        out["pairs"] = [list(p) for p in cfg.pairs]
-    if given.get("window") is not None:
-        out.update(window=cfg.window, stride=cfg.stride)
-    if cfg.replicates:
-        out.update(
-            replicates=cfg.replicates,
-            sigmas=cfg.sigmas,
-            min_run=cfg.min_run,
-            band_mode=cfg.band_mode,
-        )
-    if cfg.seed is not None:
-        out["seed"] = cfg.seed
-    if given.get("lags") is not None:
-        out["lags"] = cfg.lags
-    if given.get("caused") is not None:
-        out.update(
-            caused=cfg.caused, covariates=list(cfg.covariates), order=cfg.order
-        )
-    if given.get("lyndon"):
-        out["lyndon"] = True
+    """The config block of an artifact, by the rule in the module docstring."""
+    hidden = {"output", *_PREPROCESS}
+    if not cfg.replicates:
+        hidden.update(_NULL_MODEL)
+    dests = [a.dest for a in _options(cfg.parser) if a.dest not in hidden]
+    echo = {dest: getattr(cfg, dest) for dest in dests}
+    out = {"command": cfg.command, "format": cfg.format, "seed": cfg.seed}
     if cfg.command == "gen":
-        gen = {a.dest: given[a.dest] for a in _options(cfg.parser)}
-        del gen["output"]
-        out["generator"] = dict(gen, name=cfg.generator)
+        out["generator"] = dict(echo, name=cfg.generator)
     else:
-        out["preprocess"] = asdict(cfg.preprocess)
-    return out
+        out.update(echo, preprocess=asdict(cfg.preprocess))
+    return {k: v for k, v in out.items() if v is not None and v is not False}
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +441,14 @@ def _cmd_leadmatrix(cfg: Config) -> Output:
     )
 
 
-def _curves(cfg: Config, kind: str, name: str, statistic) -> Output:
+def _curves(cfg: Config, name: str, statistic) -> Output:
     """One curve per pair from statistic(path, pair) -> (times, values)."""
     a = _prepared(cfg)
-    curves = [(name, pair, *statistic(a, pair)) for pair in cfg.pairs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        curves = [(name, pair, *statistic(a, pair)) for pair in cfg.pairs]
+    for _, (i, j), _, values in curves:
+        if not np.isfinite(values).all():
+            raise ValueError(f"the {name} curve of pair {i},{j} is not finite")
 
     def payload() -> dict:
         return {
@@ -484,17 +463,17 @@ def _curves(cfg: Config, kind: str, name: str, statistic) -> Output:
             ]
         }
 
-    return kind, payload, lambda: curves_csv(curves)
+    return cfg.command, payload, lambda: curves_csv(curves)
 
 
-def _windowed_command(cfg: Config, kind: str) -> Output:
-    if kind == "slidearea":
+def _windowed_command(cfg: Config) -> Output:
+    if cfg.command == "slidearea":
         name, sliding = "signed_area", sliding_signed_area
     else:
         name, sliding = "signature_derivative", sliding_signature_derivative
     w = WindowSpec(cfg.window, cfg.stride) if cfg.window is not None else None
     if not cfg.replicates:
-        return _curves(cfg, kind, name, lambda a, pair: sliding(a, pair, w))
+        return _curves(cfg, name, lambda a, pair: sliding(a, pair, w))
     raw = _load_input(cfg)
     spec = NullModelSpec(
         replicates=cfg.replicates,
@@ -516,7 +495,7 @@ def _windowed_command(cfg: Config, kind: str) -> Output:
         for pair in cfg.pairs
     ]
     return (
-        kind,
+        cfg.command,
         lambda: {"reports": [r.to_dict() for r in reports]},
         lambda: reports_csv(reports),
     )
@@ -524,10 +503,7 @@ def _windowed_command(cfg: Config, kind: str) -> Output:
 
 def _cmd_xcorr(cfg: Config) -> Output:
     return _curves(
-        cfg,
-        "xcorr",
-        "xcorr",
-        lambda a, pair: cross_correlation(a, pair, cfg.lags),
+        cfg, "xcorr", lambda a, pair: cross_correlation(a, pair, cfg.lags)
     )
 
 
@@ -575,8 +551,8 @@ _HANDLERS: Dict[str, Callable[[Config], Output]] = {
     "sig": _cmd_signature,
     "logsig": _cmd_signature,
     "leadmatrix": _cmd_leadmatrix,
-    "slidearea": lambda c: _windowed_command(c, "slidearea"),
-    "influence": lambda c: _windowed_command(c, "influence"),
+    "slidearea": _windowed_command,
+    "influence": _windowed_command,
     "xcorr": _cmd_xcorr,
     "granger": _cmd_granger,
     "gen": _cmd_gen,

@@ -15,8 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .path_core import Path
-from .signature import MAX_COEFFICIENTS
+from .path_core import MAX_COEFFICIENTS, Path
 
 __all__ = [
     "IntegrationError",

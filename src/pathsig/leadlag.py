@@ -194,9 +194,14 @@ def lead_matrix(a: Path) -> LeadMatrix:
     """All pairwise signed areas; entry (i, j) is signed_area(a, i, j).
 
     Skew-symmetry is exact: (j, i) is the same difference taken the other
-    way round, and IEEE subtraction is antisymmetric.
+    way round, and IEEE subtraction is antisymmetric. Raises ValueError
+    when an area overflows float64.
     """
-    return LeadMatrix(a.channel_names, _areas(a.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = _areas(a.values)
+    if not np.isfinite(areas).all():
+        raise ValueError("the lead matrix is not finite: an area overflows")
+    return LeadMatrix(a.channel_names, areas)
 
 
 def family_area(alpha: np.ndarray, i: int, j: int) -> float:

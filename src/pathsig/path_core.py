@@ -16,6 +16,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 __all__ = [
+    "MAX_COEFFICIENTS",
     "Path",
     "PreprocessConfig",
     "concat",
@@ -26,6 +27,10 @@ __all__ = [
     "preprocess",
     "gaussian_smooth",
 ]
+
+#: largest signature size sum_k N^k that signature() will allocate, and the
+#: cap on every other array a request sizes: samples, windows, kernels
+MAX_COEFFICIENTS = 1 << 21
 
 #: relative tolerance for deciding a time grid is uniform
 _UNIFORM_RTOL = 1e-8
@@ -249,8 +254,7 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
     sigma is in time units; the kernel is truncated at +-3 sigma and
     renormalized, and channels are reflect-padded at the boundaries.
     Requires a uniform time grid. sigma = 0 is the identity. A kernel of
-    more than signature.MAX_COEFFICIENTS samples is refused before it is
-    built.
+    more than MAX_COEFFICIENTS samples is refused before it is built.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -258,8 +262,6 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
         return a
     if not a.is_uniform():
         raise ValueError("gaussian_smooth requires a uniform time grid")
-    from .signature import MAX_COEFFICIENTS  # signature imports this module
-
     dt = float(a.times[1] - a.times[0])
     radius = np.floor(3.0 * sigma / dt + 1e-12)
     if 2 * radius + 1 > MAX_COEFFICIENTS:

@@ -36,12 +36,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .path_core import Path
+from .path_core import MAX_COEFFICIENTS, Path
 from .tensor_algebra import TruncatedTensor, validate_word
 
 __all__ = [
     "DEFAULT_LEVEL_CAP",
-    "MAX_COEFFICIENTS",
     "SignatureResult",
     "signature",
     "signature_oracle",
@@ -54,9 +53,6 @@ DEFAULT_LEVEL_CAP = 6
 
 #: the simplex oracle costs O(T^k); keep it a reference implementation
 ORACLE_MAX_WORD = 4
-
-#: largest signature size sum_k N^k that signature() will allocate
-MAX_COEFFICIENTS = 1 << 21
 
 #: working-set budget for one block of segments in the prefix engine
 _BLOCK_BYTES = 1 << 20

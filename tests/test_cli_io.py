@@ -566,6 +566,51 @@ def test_nan_smoothing_or_band_is_config_error(argv, field, capsys):
     assert err == f"pathsig: config error: {field} must be finite, got nan\n"
 
 
+# finite samples whose increments and products overflow float64
+HUGE = "t,a,b\n0,0,0\n1,1e308,-1e308\n2,-1e308,1e308\n3,1e308,-1e308\n"
+_HUGE_AREA = ["--pairs", "1,2", "--window", "1", "--stride", "1",
+              "--smooth-sigma", "0"]
+_NULL = ["--replicates", "4", "--seed", "1"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (["leadmatrix", HUGE], "the lead matrix is not finite"),
+        (["slidearea", HUGE] + _HUGE_AREA,
+         "the signed_area curve of pair 1,2 is not finite"),
+        (["slidearea", HUGE] + _HUGE_AREA + _NULL,
+         "the signed_area curve is not finite"),
+        (["influence", HUGE, "--pairs", "1,2"],
+         "the signature_derivative curve of pair 1,2 is not finite"),
+        (["influence", HUGE, "--pairs", "1,2"] + _NULL,
+         "the signature_derivative curve is not finite"),
+        (["xcorr", HUGE, "--pairs", "1,2", "--lags", "1"],
+         "the xcorr curve of pair 1,2 is not finite"),
+        (["influence", UNIFORM, "--pairs", "1,2", "--window", "0.1",
+          "--stride", "0.05", "--sigmas", "1e308"] + _NULL,
+         "the null bands are not finite at band_sigmas=1e+308"),
+    ],
+    ids=["leadmatrix", "slidearea", "slidearea-null", "influence",
+         "influence-null", "xcorr", "bands"],
+)
+def test_non_finite_result_is_a_named_config_error(argv, result, fmt,
+                                                   tmp_path, capsys):
+    """In either format: one line naming the result, no artifact and no
+    numpy overflow warning."""
+    huge = write_csv(tmp_path, body=HUGE)
+    argv = [huge if a == HUGE else a for a in argv] + ["--format", fmt]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"pathsig: config error: {result}")
+    assert err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -936,6 +981,159 @@ def test_env_for_options_a_command_lacks_is_ignored(
     plain = _run(argv, {}, out_file, monkeypatch, capsysbinary)
     assert plain[0] == 0
     assert _run(argv, foreign, out_file, monkeypatch, capsysbinary) == plain
+
+
+CHOICES = [
+    (" ".join(command), action.dest)
+    for command, parser in COMMANDS.items()
+    for action in _options(parser)
+    if action.choices is not None
+]
+
+
+def test_every_option_with_fixed_values_declares_its_choices():
+    fixed = {"format", "normalize", "band_mode"}
+    declared = {
+        (" ".join(command), action.dest)
+        for command, parser in COMMANDS.items()
+        for action in _options(parser)
+        if action.dest in fixed
+    }
+    assert set(CHOICES) == declared
+
+
+@pytest.mark.parametrize("command, dest", CHOICES)
+def test_a_value_outside_the_choices_is_refused(command, dest, monkeypatch,
+                                                capsys):
+    """As a flag, argparse refuses it (exit 2); from PATHSIG_<DEST>, the
+    same table refuses it as a bad value (exit 5)."""
+    parser = COMMANDS[tuple(command.split())]
+    action = next(a for a in _options(parser) if a.dest == dest)
+    argv = command.split() + [UNIFORM]
+    assert main(argv + [action.option_strings[-1], "bogus"]) == EXIT_USAGE
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    name = "PATHSIG_" + dest.upper()
+    monkeypatch.setenv(name, "bogus")
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"pathsig: config error: bad value for {name}: 'bogus'"
+    )
+
+
+# options that some commands require, checked after resolution
+REQUIRED = {
+    "slidearea": ("pairs", "window", "stride", "smooth_sigma"),
+    "influence": ("pairs",),
+    "xcorr": ("pairs", "lags"),
+    "granger": ("caused",),
+}
+PRE_SET = {"center": True, "normalize": "per", "prepend_zero": True,
+           "smooth_sigma": 0.01}
+PRE_OFF = {"center": False, "normalize": "none", "prepend_zero": False,
+           "smooth_sigma": 0.0}
+PAIRS = [[1, 2], [2, 3]]
+WINDOWED_SET = {
+    "format": "csv", "pairs": PAIRS, "window": 0.2, "stride": 0.1,
+    "replicates": 4, "seed": 3, "sigmas": 2.0, "min_run": 2,
+    "band_mode": "quantile", "preprocess": PRE_SET,
+}
+GEN_SET = {"command": "gen", "format": "csv", "seed": 3}
+GEN_OFF = {"command": "gen", "format": "csv", "seed": 0}
+
+# command -> (config with every option of ENV_VALUES set, config with only
+# the required options), recorded from the hand-written echo it replaced
+ECHO = {
+    "sig": (
+        {"command": "sig", "format": "json", "level": 3,
+         "preprocess": PRE_SET},
+        {"command": "sig", "format": "json", "preprocess": PRE_OFF},
+    ),
+    "logsig": (
+        {"command": "logsig", "format": "json", "level": 3, "lyndon": True,
+         "preprocess": PRE_SET},
+        {"command": "logsig", "format": "json", "preprocess": PRE_OFF},
+    ),
+    "leadmatrix": (
+        {"command": "leadmatrix", "format": "csv", "preprocess": PRE_SET},
+        {"command": "leadmatrix", "format": "json", "preprocess": PRE_OFF},
+    ),
+    "slidearea": (
+        dict(WINDOWED_SET, command="slidearea"),
+        {"command": "slidearea", "format": "json", "pairs": PAIRS,
+         "window": 0.2, "stride": 0.1,
+         "preprocess": dict(PRE_OFF, smooth_sigma=0.01)},
+    ),
+    "influence": (
+        dict(WINDOWED_SET, command="influence"),
+        {"command": "influence", "format": "json", "pairs": PAIRS,
+         "preprocess": PRE_OFF},
+    ),
+    "xcorr": (
+        {"command": "xcorr", "format": "csv", "lags": 0.05, "pairs": PAIRS,
+         "preprocess": PRE_SET},
+        {"command": "xcorr", "format": "json", "lags": 0.05, "pairs": PAIRS,
+         "preprocess": PRE_OFF},
+    ),
+    "granger": (
+        {"command": "granger", "format": "json", "caused": 2,
+         "covariates": [2, 3], "order": 2, "preprocess": PRE_SET},
+        {"command": "granger", "format": "json", "caused": 2,
+         "covariates": [], "order": 1, "preprocess": PRE_OFF},
+    ),
+    "gen lorenz": (
+        {"command": "gen", "format": "csv", "generator": {
+            "name": "lorenz", "sigma": 9.0, "rho": 20.0, "beta": 2.0,
+            "x0": [0.5, 1.0, 2.0], "dt": 0.01, "steps": 30, "thin": 2}},
+        {"command": "gen", "format": "csv", "generator": {
+            "name": "lorenz", "sigma": 10.0, "rho": 28.0,
+            "beta": 2.6666666666666665, "x0": [1.0, 1.0, 1.0], "dt": 0.005,
+            "steps": 10000, "thin": 1}},
+    ),
+    "gen cyclic": (
+        dict(GEN_SET, generator={
+            "name": "cyclic", "n_events": 3, "phase_lag": 0.1,
+            "warp_power": 2.0, "samples": 40, "noise": 0.1, "seed": 3}),
+        dict(GEN_OFF, generator={
+            "name": "cyclic", "n_events": 4, "phase_lag": 0.25,
+            "warp_power": 1.0, "samples": 2000, "noise": 0.0, "seed": 0}),
+    ),
+    "gen events": (
+        dict(GEN_SET, generator={
+            "name": "events", "events": "ev.json", "samples": 40,
+            "noise": 0.1, "seed": 3}),
+        dict(GEN_OFF, generator={
+            "name": "events", "events": None, "samples": 2000,
+            "noise": 0.0, "seed": 0}),
+    ),
+}
+
+
+def _config_block(data: bytes) -> dict:
+    """The JSON artifact's config, or a CSV artifact's `# config=` line."""
+    if data.startswith(b"{"):
+        return json.loads(data)["config"]
+    prefix = "# config="
+    lines = data.decode("utf-8").splitlines()
+    line = next(x for x in lines if x.startswith(prefix))
+    return json.loads(line[len(prefix):])
+
+
+@pytest.mark.parametrize("command", [" ".join(c) for c in COMMANDS])
+def test_config_echo_is_pinned(command, tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)  # the events path is echoed as given
+    values = dict(_env_values(tmp_path), output="out", events="ev.json")
+    base = command.split()
+    actions = _options(COMMANDS[tuple(base)])
+    required = REQUIRED.get(base[0], ())
+    echoes = []
+    for chosen in (actions, [a for a in actions if a.dest in required]):
+        argv = base + [f for a in chosen for f in _flag(a, values[a.dest])]
+        code, out, written = _run(
+            argv, {}, tmp_path / "out", monkeypatch, capsysbinary
+        )
+        assert code == 0
+        echoes.append(_config_block(written or out))
+    assert tuple(echoes) == ECHO[command]
 
 
 # ---------------------------------------------------------------------------

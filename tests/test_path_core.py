@@ -287,3 +287,27 @@ def test_smoothing_happens_before_normalization(rng):
     out = preprocess(a, cfg)
     ranges = out.values.max(axis=0) - out.values.min(axis=0)
     assert np.allclose(ranges, 1.0, atol=1e-12)
+
+
+def test_package_exports_each_module_public_names_once():
+    """pathsig's exports are its modules' __all__ lists, each name listed
+    in one module: MAX_COEFFICIENTS in path_core, the module all import."""
+    import importlib
+    import sys
+
+    import pathsig
+
+    modules = [
+        importlib.import_module(f"pathsig.{name}")
+        for name in ("tensor_algebra", "path_core", "signature", "leadlag",
+                     "causality", "dynamics")
+    ]
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert pathsig.__all__ == ["__version__"] + names
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(pathsig, name) is getattr(module, name)
+    assert "MAX_COEFFICIENTS" in modules[1].__all__
+    assert sys.modules["pathsig.signature"].MAX_COEFFICIENTS == 1 << 21
+    assert pathsig.signature is sys.modules["pathsig.signature"].signature
