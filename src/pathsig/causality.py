@@ -3,12 +3,12 @@
 The core procedure: slide a window along the series, compute the signed
 area (or the signature-derivative influence stream) per window, then
 calibrate pointwise significance bands by re-running the identical pipeline
-on per-channel time-shuffled copies of the raw data. Each window value is
-a difference of one prefix sum over the samples (of the cross terms for
-the area, of the stream integral for influence), so a window costs O(1) on
-uniform and non-uniform grids alike. Cross-correlation and a VAR-based
-Granger measure are provided as the classical baselines the signed-area
-statistic is contrasted against.
+on per-channel time-shuffled copies of the raw data, a batch of copies per
+run. Each window value is a difference of one prefix sum over the samples
+(of the cross terms for the area, of the stream integral for influence), so
+a window costs O(1) on uniform and non-uniform grids alike.
+Cross-correlation and a VAR-based Granger measure are provided as the
+classical baselines the signed-area statistic is contrasted against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .path_core import MAX_COEFFICIENTS, Path, PreprocessConfig, preprocess
+from .path_core import MAX_COEFFICIENTS, Path, PreprocessConfig, one_path
+from .path_core import preprocess
 from .signature import signature_derivative
 from .signature import signature_derivative_integral
 
@@ -180,6 +181,21 @@ def _index_windows(a: Path, dt: float, w: WindowSpec) -> Tuple[np.ndarray, np.nd
     return k1, k1 + n_seg
 
 
+def _from_zero(x: np.ndarray) -> np.ndarray:
+    """x with a 0 prepended along its last axis: a prefix sum's origin."""
+    return np.concatenate([np.zeros(x.shape[:-1] + (1,)), x], axis=-1)
+
+
+def _interp(t: np.ndarray, grid: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.interp(t, grid, x) for x of shape (..., T).
+
+    np.interp takes one 1-d curve, so a batch runs it row by row; the
+    rows keep np.interp's bytes.
+    """
+    rows = [np.interp(t, grid, row) for row in x.reshape(-1, x.shape[-1])]
+    return np.reshape(rows, x.shape[:-1] + t.shape)
+
+
 def _time_windows(a: Path, w: WindowSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Window (start, end) time arrays on the stride grid, ends clipped."""
     t_end = float(a.times[-1])
@@ -214,13 +230,13 @@ def sliding_signed_area(
     y = a.channel(j)
     dx = np.diff(x)
     dy = np.diff(y)
-    cross = np.concatenate([[0.0], np.cumsum(x[:-1] * dy - y[:-1] * dx)])
+    cross = _from_zero(np.cumsum(x[..., :-1] * dy - y[..., :-1] * dx, axis=-1))
     dt = _uniform_dt(a)
     if dt is not None:
         lo, hi = _index_windows(a, dt, w)
         ts, te = a.times[lo], a.times[hi]
-        xs, ys, xe, ye = x[lo], y[lo], x[hi], y[hi]
-        core = cross[hi] - cross[lo]
+        xs, ys, xe, ye = x[..., lo], y[..., lo], x[..., hi], y[..., hi]
+        core = cross[..., hi] - cross[..., lo]
     else:
         ts, te = _time_windows(a, w)
         # samples lo..hi lie strictly inside (hi < lo if none does, also for
@@ -228,10 +244,10 @@ def sliding_signed_area(
         # at lo, the end vertex on the one starting at hi
         lo = np.searchsorted(a.times[:-1], ts, side="right")
         hi = np.searchsorted(a.times, te, side="left") - 1
-        xs, ys = np.interp(ts, a.times, x), np.interp(ts, a.times, y)
-        xe, ye = np.interp(te, a.times, x), np.interp(te, a.times, y)
-        core = (cross[hi] - cross[lo] + xs * y[lo] - ys * x[lo]
-                + x[hi] * ye - y[hi] * xe)
+        xs, ys = _interp(ts, a.times, x), _interp(ts, a.times, y)
+        xe, ye = _interp(te, a.times, x), _interp(te, a.times, y)
+        core = (cross[..., hi] - cross[..., lo] + xs * y[..., lo]
+                - ys * x[..., lo] + x[..., hi] * ye - y[..., hi] * xe)
     areas = 0.5 * (core - xs * (ye - ys) + ys * (xe - xs))
     # exactly 0 for a window inside one segment: rounding noise there would
     # be judged against null bands that are exactly 0 too
@@ -253,8 +269,8 @@ def sliding_signature_derivative(
     if w is None:
         return signature_derivative(a, i, j)
     _, integral = signature_derivative_integral(a, i, j)
-    weighted = np.concatenate([[0.0], integral])
-    span = np.concatenate([[0.0], np.cumsum(np.diff(a.times))])
+    weighted = _from_zero(integral)
+    span = _from_zero(np.cumsum(np.diff(a.times)))
     dt = _uniform_dt(a)
     if dt is not None:
         k1, k2 = _index_windows(a, dt, w)
@@ -266,7 +282,7 @@ def sliding_signature_derivative(
         k1, k2 = k1[keep], k2[keep]
         if k1.size == 0:
             raise ValueError("no window contains a full segment")
-    values = (weighted[k2] - weighted[k1]) / (span[k2] - span[k1])
+    values = (weighted[..., k2] - weighted[..., k1]) / (span[k2] - span[k1])
     centers = 0.5 * (a.times[k1] + a.times[k2])
     return centers, values
 
@@ -292,19 +308,34 @@ def mix_seed(seed: int, replicate: int) -> int:
     return x
 
 
+#: float64 values in one chunk of shuffled replicates (14 replicates of
+#: c09's 1500 x 3 samples); bounds the null model's working set
+_CHUNK_VALUES = 1 << 16
+
+
+def _shuffled(values: np.ndarray, derived_seeds: Sequence[int]) -> np.ndarray:
+    """One (T, N) copy of values per seed, each channel permuted by that
+    seed's generator in channel order: shape (len(derived_seeds), T, N)."""
+    t, n = values.shape
+    out = np.empty((len(derived_seeds), t, n))
+    for k, seed in enumerate(derived_seeds):
+        rng = np.random.default_rng(seed)
+        for c in range(n):
+            out[k, :, c] = values[rng.permutation(t), c]
+    return out
+
+
+@one_path
 def shuffle_channels(a: Path, derived_seed: int) -> Path:
     """Independently permute each channel's samples (Fisher-Yates).
 
     Destroys temporal structure while preserving each channel's value
     multiset; the time grid is untouched.
     """
-    rng = np.random.default_rng(derived_seed)
-    shuffled = np.empty_like(a.values)
-    for c in range(a.n_channels):
-        shuffled[:, c] = a.values[rng.permutation(a.n_samples), c]
-    return a.with_values(shuffled)
+    return a.with_values(_shuffled(a.values, [derived_seed])[0])
 
 
+@one_path
 def shuffle_null(
     a: Path,
     statistic: Statistic,
@@ -319,10 +350,17 @@ def shuffle_null(
     The shuffle acts on the raw samples of a; each replicate then passes
     through the identical pipeline (preprocessing, including smoothing, then
     the statistic over windows w). Replicate r draws its own generator from
-    mix_seed(spec.seed, r), and curves are reduced with numpy's pairwise
-    mean/std, so the report is a pure function of (input, spec) regardless
-    of execution schedule. Raises ValueError when the observed curve or the
-    null's mean, std or bands overflow float64.
+    mix_seed(spec.seed, r), as shuffle_channels does, and curves are
+    reduced with numpy's pairwise mean/std, so the report is a pure
+    function of (input, spec) regardless of execution schedule.
+
+    Replicates run in chunks of about _CHUNK_VALUES float64 values, each
+    chunk as one batched Path through the pipeline. So the statistic must broadcast:
+    given a batch of R paths it returns (times, values) with values of
+    shape (R, W), row r being what one path would give. A statistic that
+    returns another shape raises "statistic changed length under
+    shuffling". Raises ValueError when the observed curve or the null's
+    mean, std or bands overflow float64.
     """
 
     def pipeline(p: Path) -> Tuple[np.ndarray, np.ndarray]:
@@ -340,11 +378,14 @@ def shuffle_null(
                 f"over the cap of {MAX_COEFFICIENTS}"
             )
         curves = np.empty((spec.replicates, observed.size))
-        for r in range(spec.replicates):
-            _, curve = pipeline(shuffle_channels(a, mix_seed(spec.seed, r)))
-            if curve.size != observed.size:
+        chunk = max(1, _CHUNK_VALUES // a.values.size)
+        for r0 in range(0, spec.replicates, chunk):
+            r1 = min(r0 + chunk, spec.replicates)
+            seeds = [mix_seed(spec.seed, r) for r in range(r0, r1)]
+            _, batch = pipeline(a.with_values(_shuffled(a.values, seeds)))
+            if np.shape(batch) != (r1 - r0, observed.size):
                 raise ValueError("statistic changed length under shuffling")
-            curves[r] = curve
+            curves[r0:r1] = batch
         null_mean = curves.mean(axis=0)
         null_std = curves.std(axis=0)
         if spec.band_mode == "gaussian":
@@ -405,6 +446,7 @@ def _significant_runs(
 # -- classical baselines ------------------------------------------------------
 
 
+@one_path
 def cross_correlation(
     a: Path, pair: Tuple[int, int], max_lag: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -438,6 +480,7 @@ def cross_correlation(
     return lags * dt, r
 
 
+@one_path
 def granger_var(
     a: Path, caused: int, covariates: Sequence[int], order: int
 ) -> float:

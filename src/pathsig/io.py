@@ -29,7 +29,7 @@ from . import __version__
 from .causality import SignificanceReport
 from .dynamics import Event
 from .leadlag import LeadMatrix
-from .path_core import Path
+from .path_core import Path, one_path
 
 __all__ = [
     "CsvFormatError",
@@ -193,6 +193,7 @@ def load_events(source: Source) -> List[Event]:
     return events
 
 
+@one_path
 def path_to_csv(a: Path) -> str:
     header = _csv_line(("time",) + tuple(a.channel_names))
     return "".join([header, *_rows((), [a.times, a.values])])

@@ -14,7 +14,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .path_core import Path
+from .path_core import Path, one_path
 
 __all__ = [
     "LeadMatrix",
@@ -38,6 +38,7 @@ def _areas(values: np.ndarray) -> np.ndarray:
     return 0.5 * (c - c.T)
 
 
+@one_path
 def signed_area(a: Path, i: int, j: int) -> float:
     """Signed area of the (i, j) channel pair about the path's start point.
 
@@ -47,6 +48,7 @@ def signed_area(a: Path, i: int, j: int) -> float:
     return float(_areas(np.column_stack([a.channel(i), a.channel(j)]))[0, 1])
 
 
+@one_path
 def close_path(a: Path) -> Path:
     """Append one linear segment returning to the start point.
 
@@ -94,6 +96,7 @@ def _winding_angles(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
     return np.sum(np.arctan2(cross, dot), axis=1) / (2.0 * np.pi)
 
 
+@one_path
 def winding_number(closed: Path, i: int, j: int, x: Sequence[float]) -> int:
     """Winding number of the closed (i, j) projection about the point x.
 
@@ -118,6 +121,7 @@ def winding_number(closed: Path, i: int, j: int, x: Sequence[float]) -> int:
     return n
 
 
+@one_path
 def signed_area_via_winding(
     a: Path,
     i: int,
@@ -190,6 +194,7 @@ class LeadMatrix:
         }
 
 
+@one_path
 def lead_matrix(a: Path) -> LeadMatrix:
     """All pairwise signed areas; entry (i, j) is signed_area(a, i, j).
 

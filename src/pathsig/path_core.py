@@ -5,10 +5,17 @@ series: strictly increasing times, a T x N value array, and channel names.
 All downstream integrals (signatures, signed areas) are exact over the
 linear segments, so concatenation, inversion and reduction here are exact
 operations on vertex sequences.
+
+The value array may carry leading batch axes, (..., T, N): a batch of paths
+on one time grid, as the shuffle null model builds from its replicates.
+Smoothing, preprocessing and the window statistics broadcast over them, row
+for row the same bytes as one path at a time. Every other function takes
+one path and refuses a batch (see one_path).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -38,11 +45,13 @@ _UNIFORM_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class Path:
-    """Timestamped N-channel polygonal path.
+    """Timestamped N-channel polygonal path, or a batch of them.
 
     times: shape (T,), strictly increasing, arbitrary units.
-    values: shape (T, N), row t is the path position at times[t].
+    values: shape (T, N), row t is the path position at times[t]; or
+    (..., T, N), a batch of paths that share times and channel names.
     channel_names: N labels; generated as c1..cN when omitted.
+    Shape and finiteness are checked once for the whole batch.
     """
 
     times: np.ndarray
@@ -54,9 +63,9 @@ class Path:
         v = np.ascontiguousarray(self.values, dtype=float)
         if t.ndim != 1 or t.size < 1:
             raise ValueError("times must be a 1-d array with at least one sample")
-        if v.ndim != 2 or v.shape[0] != t.size:
+        if v.ndim < 2 or v.shape[-2] != t.size:
             raise ValueError(
-                f"values must be (T, N) with T={t.size}, got shape {v.shape}"
+                f"values must be (..., T, N) with T={t.size}, got shape {v.shape}"
             )
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
             raise ValueError("times and values must be finite")
@@ -64,10 +73,10 @@ class Path:
             raise ValueError("times must be strictly increasing")
         names = tuple(self.channel_names)
         if not names:
-            names = tuple(f"c{k + 1}" for k in range(v.shape[1]))
-        if len(names) != v.shape[1]:
+            names = tuple(f"c{k + 1}" for k in range(v.shape[-1]))
+        if len(names) != v.shape[-1]:
             raise ValueError(
-                f"{len(names)} channel names for {v.shape[1]} channels"
+                f"{len(names)} channel names for {v.shape[-1]} channels"
             )
         t.setflags(write=False)
         v.setflags(write=False)
@@ -81,17 +90,18 @@ class Path:
 
     @property
     def n_channels(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
     def channel(self, i: int) -> np.ndarray:
-        """Values of 1-based channel i (letters of signature words)."""
+        """Values of 1-based channel i (letters of signature words), with
+        shape (..., T)."""
         if not 1 <= i <= self.n_channels:
             raise ValueError(f"channel {i} outside [1, {self.n_channels}]")
-        return self.values[:, i - 1]
+        return self.values[..., i - 1]
 
     def is_uniform(self) -> bool:
         """True when the time grid is uniform to relative tolerance 1e-8."""
@@ -102,6 +112,23 @@ class Path:
 
     def with_values(self, values: np.ndarray) -> "Path":
         return Path(self.times, values, self.channel_names)
+
+
+def one_path(fn: Callable) -> Callable:
+    """Decorate a function that takes one path, not a batch: it raises
+    ValueError when any Path argument carries batch axes."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        for arg in (*args, *kwargs.values()):
+            if isinstance(arg, Path) and arg.values.ndim > 2:
+                raise ValueError(
+                    f"{fn.__name__} takes one path, not a batch of values "
+                    f"of shape {arg.values.shape}"
+                )
+        return fn(*args, **kwargs)
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -129,15 +156,8 @@ class PreprocessConfig:
                 f"normalize must be 'per', 'global' or 'none', got {self.normalize!r}"
             )
 
-    def is_identity(self) -> bool:
-        return (
-            self.smooth_sigma == 0.0
-            and not self.center
-            and self.normalize == "none"
-            and not self.prepend_zero
-        )
 
-
+@one_path
 def concat(a: Path, b: Path) -> Path:
     """Concatenate two paths, translating b so its start meets a's end.
 
@@ -162,6 +182,7 @@ def concat(a: Path, b: Path) -> Path:
     )
 
 
+@one_path
 def inverse(a: Path) -> Path:
     """The path run backwards: values reversed, times negated and reversed.
 
@@ -181,6 +202,7 @@ def _exact_backtrack(d1: np.ndarray, d2: np.ndarray) -> bool:
     return bool(np.array_equal(np.outer(d1, d2), np.outer(d2, d1)))
 
 
+@one_path
 def reduce_path(a: Path) -> Path:
     """Cancel exact backtracks until the polygonal path is irreducible.
 
@@ -227,6 +249,7 @@ def reduce_path(a: Path) -> Path:
     return Path(np.asarray(out_t), np.vstack(out_v), a.channel_names)
 
 
+@one_path
 def one_variation(a: Path) -> float:
     """Exact 1-variation of the interpolant: sum of segment norms."""
     if a.n_samples < 2:
@@ -234,6 +257,7 @@ def one_variation(a: Path) -> float:
     return float(np.sum(np.linalg.norm(np.diff(a.values, axis=0), axis=1)))
 
 
+@one_path
 def reparametrize(a: Path, warp: Callable[[np.ndarray], np.ndarray]) -> Path:
     """Replace times by warp(times); sample values are untouched.
 
@@ -249,7 +273,8 @@ def reparametrize(a: Path, warp: Callable[[np.ndarray], np.ndarray]) -> Path:
 
 
 def gaussian_smooth(a: Path, sigma: float) -> Path:
-    """Convolve each channel with a unit-sum Gaussian kernel.
+    """Convolve each channel (of each path in a batch) with a unit-sum
+    Gaussian kernel, one np.convolve per row.
 
     sigma is in time units; the kernel is truncated at +-3 sigma and
     renormalized, and channels are reflect-padded at the boundaries.
@@ -275,10 +300,14 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
     offsets = np.arange(-radius, radius + 1) * dt
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     kernel /= kernel.sum()
-    smoothed = np.empty_like(a.values)
-    for c in range(a.n_channels):
-        padded = np.pad(a.values[:, c], radius, mode="reflect")
-        smoothed[:, c] = np.convolve(padded, kernel, mode="valid")
+    # one row per (path, channel), padded along time
+    rows = np.swapaxes(a.values, -1, -2)
+    padded = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(radius, radius)],
+                    mode="reflect")
+    smoothed = np.empty(a.values.shape)
+    out = np.swapaxes(smoothed, -1, -2)
+    for k in np.ndindex(rows.shape[:-1]):
+        out[k] = np.convolve(padded[k], kernel, mode="valid")
     return a.with_values(smoothed)
 
 
@@ -290,37 +319,44 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
     by the global maximum range), (4) prepending a zero sample one median
     time step before the first, so the path starts at the origin.
     A constant channel cannot be normalized; it is left unscaled with a
-    warning.
+    warning. A channel whose range overflows float64 cannot be either; it
+    raises ValueError. A batch is reduced over time, path by path.
     """
-    if cfg.is_identity():
-        return a
-    out = a
     if cfg.smooth_sigma > 0:
-        out = gaussian_smooth(out, cfg.smooth_sigma)
-    values = out.values.copy()
-    if cfg.center:
-        values = values - values.mean(axis=0)
-    if cfg.normalize != "none":
-        ranges = values.max(axis=0) - values.min(axis=0)
-        if cfg.normalize == "per":
-            scales = ranges.copy()
-            flat = scales == 0.0
-            if np.any(flat):
-                names = [out.channel_names[k] for k in np.nonzero(flat)[0]]
-                warnings.warn(
-                    f"constant channel(s) {names} left unscaled by normalization"
-                )
-                scales[flat] = 1.0
-            values = values / scales
-        else:  # global
-            scale = float(ranges.max())
-            if scale == 0.0:
-                warnings.warn("all channels constant; global normalization skipped")
-            else:
-                values = values / scale
-    times = out.times
+        a = gaussian_smooth(a, cfg.smooth_sigma)
+    if not (cfg.center or cfg.normalize != "none" or cfg.prepend_zero):
+        return a
+    # the other steps fill one fresh array, behind the origin row if there
+    # is one, so a batch costs a single copy of its values
+    times = a.times
     if cfg.prepend_zero:
         step = float(np.median(np.diff(times))) if times.size > 1 else 1.0
         times = np.concatenate([[times[0] - step], times])
-        values = np.vstack([np.zeros(values.shape[1]), values])
-    return Path(times, values, out.channel_names)
+    values = np.zeros(a.values.shape[:-2] + (times.size, a.n_channels))
+    body = values[..., times.size - a.n_samples:, :]
+    if cfg.center:
+        np.subtract(a.values, a.values.mean(axis=-2, keepdims=True), out=body)
+    else:
+        body[...] = a.values
+    if cfg.normalize != "none":
+        with np.errstate(over="ignore", invalid="ignore"):
+            ranges = body.max(axis=-2) - body.min(axis=-2)
+        if cfg.normalize == "global":
+            ranges = ranges.max(axis=-1, keepdims=True)
+        bad = ~np.isfinite(ranges).reshape(-1, ranges.shape[-1]).all(axis=0)
+        if bad.any():
+            what = "global range" if cfg.normalize == "global" else (
+                f"range of channel {a.channel_names[np.argmax(bad)]}")
+            raise ValueError(f"cannot normalize: the {what} is not finite")
+        flat = ranges == 0.0
+        if flat.any():
+            if cfg.normalize == "global":
+                warnings.warn("all channels constant; global normalization skipped")
+            else:
+                names = [a.channel_names[k] for k in
+                         np.nonzero(flat.reshape(-1, flat.shape[-1]).any(axis=0))[0]]
+                warnings.warn(
+                    f"constant channel(s) {names} left unscaled by normalization"
+                )
+        body /= np.where(flat, 1.0, ranges)[..., None, :]
+    return Path(times, values, a.channel_names)

@@ -36,7 +36,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .path_core import MAX_COEFFICIENTS, Path
+from .path_core import MAX_COEFFICIENTS, Path, one_path
 from .tensor_algebra import TruncatedTensor, validate_word
 
 __all__ = [
@@ -114,6 +114,7 @@ def _prefix_levels(deltas: np.ndarray, level: int) -> List[np.ndarray]:
     return sig
 
 
+@one_path
 def signature(a: Path, level: int) -> SignatureResult:
     """Truncated signature of a sampled path via the blocked prefix engine.
 
@@ -131,7 +132,9 @@ def signature(a: Path, level: int) -> SignatureResult:
             f"a level-{level} signature of {a.n_channels} channels has {size} "
             f"coefficients, over the cap of {MAX_COEFFICIENTS}"
         )
-    levels = _prefix_levels(np.diff(a.values, axis=0), level)
+    # an overflow shows as a non-finite coefficient, refused by TruncatedTensor
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = _prefix_levels(np.diff(a.values, axis=0), level)
     return SignatureResult(
         tensor=TruncatedTensor(a.n_channels, level, tuple(levels)),
         level=level,
@@ -141,6 +144,7 @@ def signature(a: Path, level: int) -> SignatureResult:
     )
 
 
+@one_path
 def signature_oracle(a: Path, word: Sequence[int]) -> float:
     """One signature coefficient by brute-force simplex integration.
 
@@ -191,21 +195,21 @@ def signature_derivative(
     of value * segment width reconstructs S^(i,j). That identity needs
     channel i to start at 0 (the usual origin-prepending preprocessing); a
     warning is raised otherwise. Channel j enters only through slopes, so
-    its offset is irrelevant. Returns (midpoint times, stream values), both
-    of length T-1.
+    its offset is irrelevant. Returns (midpoint times, stream values), of
+    length T-1; the values of a batch have shape (..., T-1).
     """
     if a.n_samples < 2:
         raise ValueError("signature_derivative needs at least 2 samples")
     x = a.channel(i)
     y = a.channel(j)
-    if x[0] != 0.0:
+    if np.any(x[..., 0] != 0.0):
         warnings.warn(
             f"channel {i} does not start at 0; the stream integral "
             "will not match the second-level signature coefficient"
         )
     widths = np.diff(a.times)
     mid_times = a.times[:-1] + 0.5 * widths
-    mid_x = 0.5 * (x[:-1] + x[1:])
+    mid_x = 0.5 * (x[..., :-1] + x[..., 1:])
     slope_y = np.diff(y) / widths
     return mid_times, mid_x * slope_y
 
@@ -220,4 +224,4 @@ def signature_derivative_integral(
     """
     mid_times, stream = signature_derivative(a, i, j)
     widths = np.diff(a.times)
-    return a.times[1:], np.cumsum(stream * widths)
+    return a.times[1:], np.cumsum(stream * widths, axis=-1)

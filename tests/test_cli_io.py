@@ -614,6 +614,38 @@ def test_non_finite_result_is_a_named_config_error(argv, result, fmt,
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["sig", HUGE], "non-finite coefficient at grade 1"),
+        (["logsig", HUGE, "--level", "3"], "non-finite coefficient at grade 1"),
+        (["leadmatrix", HUGE, "--normalize", "per"],
+         "cannot normalize: the range of channel a is not finite"),
+        (["leadmatrix", HUGE, "--normalize", "global"],
+         "cannot normalize: the global range is not finite"),
+        (["sig", HUGE, "--normalize", "per"],
+         "cannot normalize: the range of channel a is not finite"),
+        (["slidearea", HUGE, "--normalize", "global"] + _HUGE_AREA + _NULL,
+         "cannot normalize: the global range is not finite"),
+    ],
+    ids=["sig", "logsig", "leadmatrix-per", "leadmatrix-global", "sig-per",
+         "slidearea-null-global"],
+)
+def test_overflow_in_a_signature_or_a_range_is_one_line(argv, message,
+                                                        tmp_path, capsys):
+    """A signature, or a channel range met by normalization, that overflows
+    float64 ends in one named line and no numpy warning."""
+    huge = write_csv(tmp_path, body=HUGE)
+    argv = [huge if a == HUGE else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"pathsig: config error: {message}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["cyclic", "--samples", "100", "--n-events", "1000000000"],
          "n_events 1000000000 is more than samples 100"),
         (["cyclic", "--samples", "1000000000"],

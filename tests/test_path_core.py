@@ -271,6 +271,16 @@ def test_normalize_constant_channel_warns_and_leaves_it():
     assert np.array_equal(out.values[:, 0], values[:, 0])
 
 
+@pytest.mark.parametrize("mode, what", [
+    ("per", "range of channel c2"), ("global", "global range")])
+def test_normalizing_a_range_that_overflows_raises(mode, what):
+    values = np.array([[0.0, 0.0], [1.0, 1e308], [2.0, -1e308]])
+    a = Path(np.arange(3.0), values)
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=f"the {what} is not finite"):
+            preprocess(a, PreprocessConfig(normalize=mode))
+
+
 def test_prepend_zero_adds_origin_sample(rng):
     a = random_path(rng, n_samples=10)
     out = preprocess(a, PreprocessConfig(prepend_zero=True))
