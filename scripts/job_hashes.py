@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Hash the output of one job of each in-process benchmark workload.
+
+    python scripts/job_hashes.py --seeds 1 5
+    python scripts/job_hashes.py --seeds 1 5 --root ../other-checkout
+
+For each seed, runs setup() and one job() of the events-null and lorenz-sig
+workloads of perfbench/workloads.py, in a temporary directory, and prints
+one line per job: `workload seed sha256`. events-null is hashed over the
+report bytes its job returns; lorenz-sig over its output dict as canonical
+JSON (sorted keys, no spaces, floats as repr). Two checkouts whose lines
+match produced the same job outputs byte for byte, so a change meant to
+keep every output can be compared against its parent. Exits 1 when a
+workload's check() reports a problem with an output.
+
+The library and the workloads are imported from --root (default: the
+checkout this script is in); nothing under perfbench/ is modified.
+"""
+
+from __future__ import annotations
+
+import os
+
+# as perfbench/run.py: one BLAS/OpenMP thread, before numpy is imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+#: the workloads that run in this process; cli-csv runs CLI children
+IN_PROCESS = ("events-null", "lorenz-sig")
+
+
+def job_bytes(out) -> bytes:
+    if isinstance(out, bytes):
+        return out
+    return json.dumps(out, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False).encode("utf-8")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 5])
+    ap.add_argument("--root", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))),
+        help="source checkout whose src/ and perfbench/ are run")
+    args = ap.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import workloads
+
+    failed = False
+    for name in IN_PROCESS:
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory() as work:
+                w = workloads.WORKLOADS[name](root, work, seed)
+                w.setup()
+                out = w.job(None)
+                problems = w.check(out)
+            print(name, seed, hashlib.sha256(job_bytes(out)).hexdigest(),
+                  flush=True)
+            for problem in problems:
+                print(f"{name} seed {seed}: {problem}", file=sys.stderr)
+            failed = failed or bool(problems)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

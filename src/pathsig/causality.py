@@ -315,13 +315,15 @@ _CHUNK_VALUES = 1 << 16
 
 def _shuffled(values: np.ndarray, derived_seeds: Sequence[int]) -> np.ndarray:
     """One (T, N) copy of values per seed, each channel permuted by that
-    seed's generator in channel order: shape (len(derived_seeds), T, N)."""
-    t, n = values.shape
-    out = np.empty((len(derived_seeds), t, n))
+    seed's generator in channel order: shape (len(derived_seeds), T, N).
+    Shuffling a copied channel in place gives values[rng.permutation(T), c]
+    from the same draws, as permutation(T) is shuffle(arange(T))."""
+    out = np.empty((len(derived_seeds),) + values.shape)
+    out[...] = values
     for k, seed in enumerate(derived_seeds):
-        rng = np.random.default_rng(seed)
-        for c in range(n):
-            out[k, :, c] = values[rng.permutation(t), c]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for c in range(values.shape[1]):
+            rng.shuffle(out[k, :, c])
     return out
 
 

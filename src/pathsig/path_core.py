@@ -319,8 +319,9 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
     by the global maximum range), (4) prepending a zero sample one median
     time step before the first, so the path starts at the origin.
     A constant channel cannot be normalized; it is left unscaled with a
-    warning. A channel whose range overflows float64 cannot be either; it
-    raises ValueError. A batch is reduced over time, path by path.
+    warning. A channel whose mean or range overflows float64 raises
+    ValueError naming it. A batch is reduced over time path by path, one
+    channel at a time; the mean keeps the summation order of one path.
     """
     if cfg.smooth_sigma > 0:
         a = gaussian_smooth(a, cfg.smooth_sigma)
@@ -332,17 +333,29 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
     if cfg.prepend_zero:
         step = float(np.median(np.diff(times))) if times.size > 1 else 1.0
         times = np.concatenate([[times[0] - step], times])
-    values = np.zeros(a.values.shape[:-2] + (times.size, a.n_channels))
+    n = a.n_channels
+    values = np.zeros(a.values.shape[:-2] + (times.size, n))
     body = values[..., times.size - a.n_samples:, :]
+    # one channel at a time: over axis -2 of a batch numpy's inner loop is N
+    # long. The mean stays an axis -2 reduction, summing T as one path does.
     if cfg.center:
-        np.subtract(a.values, a.values.mean(axis=-2, keepdims=True), out=body)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = a.values.mean(axis=-2)
+            if not np.isfinite(means).all():
+                c = np.argmin(np.isfinite(means).reshape(-1, n).all(axis=0))
+                raise ValueError(f"cannot center: the mean of channel "
+                                 f"{a.channel_names[c]} is not finite")
+            for c in range(n):
+                np.subtract(a.values[..., c], means[..., c, None], out=body[..., c])
     else:
         body[...] = a.values
     if cfg.normalize != "none":
+        ranges = np.empty(body.shape[:-2] + (n,))
         with np.errstate(over="ignore", invalid="ignore"):
-            ranges = body.max(axis=-2) - body.min(axis=-2)
+            for c in range(n):
+                ranges[..., c] = body[..., c].max(axis=-1) - body[..., c].min(axis=-1)
         if cfg.normalize == "global":
-            ranges = ranges.max(axis=-1, keepdims=True)
+            ranges = np.broadcast_to(ranges.max(axis=-1, keepdims=True), ranges.shape)
         bad = ~np.isfinite(ranges).reshape(-1, ranges.shape[-1]).all(axis=0)
         if bad.any():
             what = "global range" if cfg.normalize == "global" else (
@@ -358,5 +371,7 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
                 warnings.warn(
                     f"constant channel(s) {names} left unscaled by normalization"
                 )
-        body /= np.where(flat, 1.0, ranges)[..., None, :]
+        scale = np.where(flat, 1.0, ranges)
+        for c in range(n):
+            body[..., c] /= scale[..., c, None]
     return Path(times, values, a.channel_names)

@@ -49,7 +49,7 @@ from pathsig.io import canonical_json, path_to_csv, reports_artifact
 @st.composite
 def batches(draw, uniform=None):
     """A (R, T, N) batch of paths on one grid, uniform or not, with ties
-    and constant channels mixed in."""
+    and constant channels mixed in: in every path, or in some paths only."""
     r = draw(st.integers(1, 4))
     t = draw(st.integers(2, 40))
     n = draw(st.integers(1, 3))
@@ -61,7 +61,8 @@ def batches(draw, uniform=None):
             st.sampled_from([1.0, 0.1, 1 / 255, 2.0**-10]))
     else:
         times = np.cumsum(rng.uniform(0.05, 2.0, t))
-    kind = draw(st.sampled_from(["normal", "integer", "constant", "scaled"]))
+    kind = draw(st.sampled_from(
+        ["normal", "integer", "constant", "some constant", "scaled"]))
     if kind == "normal":
         values = rng.normal(size=(r, t, n))
     elif kind == "integer":
@@ -69,6 +70,9 @@ def batches(draw, uniform=None):
     elif kind == "constant":
         values = rng.normal(size=(r, t, n))
         values[..., 0] = 1.5
+    elif kind == "some constant":
+        values = rng.normal(size=(r, t, n))
+        values[::2, :, n - 1] = -0.25
     else:
         values = rng.normal(size=(r, t, n)) * 10.0 ** rng.integers(-150, 150, n)
     return Path(times, values)
@@ -240,6 +244,26 @@ def test_batched_shuffle_matches_the_per_channel_permutations():
         assert np.array_equal(chunk[k], expected)
         a = Path(np.arange(50.0), values)
         assert np.array_equal(shuffle_channels(a, seed).values, expected)
+
+
+@pytest.mark.parametrize("t, n", [(1, 1), (1, 3), (2, 1), (2, 3), (9, 1)])
+def test_shuffling_short_or_one_channel_series(t, n):
+    """One or two samples, or one channel: each replicate is still the
+    per-channel permutation loop's draw, and the caller's values are left
+    as they were."""
+    values = np.random.default_rng(4).normal(size=(t, n))
+    before = values.copy()
+    seeds = [mix_seed(7, r) for r in range(6)]
+    chunk = causality._shuffled(values, seeds)
+    assert np.array_equal(values, before)
+    a = Path(np.arange(float(t)), values)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        expected = np.column_stack(
+            [values[rng.permutation(t), c] for c in range(n)])
+        assert np.array_equal(chunk[k], expected)
+        assert np.array_equal(shuffle_channels(a, seed).values, expected)
+    assert np.array_equal(values, before)
 
 
 # acceptance c09: its input, windows and smoothing

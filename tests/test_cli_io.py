@@ -568,6 +568,8 @@ def test_nan_smoothing_or_band_is_config_error(argv, field, capsys):
 
 # finite samples whose increments and products overflow float64
 HUGE = "t,a,b\n0,0,0\n1,1e308,-1e308\n2,-1e308,1e308\n3,1e308,-1e308\n"
+# channel a sums past the float64 range, so its mean is not finite
+CENT = "t,a,b\n0,1e308,0\n1,1e308,1\n2,1e308,0\n3,-1e308,1\n"
 _HUGE_AREA = ["--pairs", "1,2", "--window", "1", "--stride", "1",
               "--smooth-sigma", "0"]
 _NULL = ["--replicates", "4", "--seed", "1"]
@@ -624,16 +626,24 @@ def test_non_finite_result_is_a_named_config_error(argv, result, fmt,
          "cannot normalize: the range of channel a is not finite"),
         (["slidearea", HUGE, "--normalize", "global"] + _HUGE_AREA + _NULL,
          "cannot normalize: the global range is not finite"),
+        (["leadmatrix", CENT, "--center"],
+         "cannot center: the mean of channel a is not finite"),
+        (["slidearea", CENT, "--center", "--normalize", "per"]
+         + _HUGE_AREA + _NULL,
+         "cannot center: the mean of channel a is not finite"),
     ],
     ids=["sig", "logsig", "leadmatrix-per", "leadmatrix-global", "sig-per",
-         "slidearea-null-global"],
+         "slidearea-null-global", "leadmatrix-center",
+         "slidearea-null-center-per"],
 )
 def test_overflow_in_a_signature_or_a_range_is_one_line(argv, message,
                                                         tmp_path, capsys):
-    """A signature, or a channel range met by normalization, that overflows
-    float64 ends in one named line and no numpy warning."""
-    huge = write_csv(tmp_path, body=HUGE)
-    argv = [huge if a == HUGE else a for a in argv]
+    """A signature, or a channel range met by normalization, or a channel
+    mean met by centering, that overflows float64 ends in one named line
+    and no numpy warning."""
+    files = {HUGE: write_csv(tmp_path, body=HUGE),
+             CENT: write_csv(tmp_path, "cent.csv", body=CENT)}
+    argv = [files.get(a, a) for a in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == EXIT_CONFIG

@@ -5,6 +5,8 @@ import os
 import pathlib
 import subprocess
 import sys
+from array import array
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -78,6 +80,61 @@ def test_lorenz_param_validation():
         LorenzParams(dt=0.0)
     with pytest.raises(ValueError):
         LorenzParams(steps=0)
+
+
+def reference_lorenz(p: LorenzParams) -> np.ndarray:
+    """The stepper with one field() call per RK4 stage, as it was before
+    the stages were written out in the loop body: the reference that the
+    inlined stepper must match bit for bit."""
+    sigma, rho, beta = float(p.sigma), float(p.rho), float(p.beta)
+    dt = float(p.dt)
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def field(x: float, y: float, z: float) -> Tuple[float, float, float]:
+        return sigma * (y - x), x * (rho - z) - y, x * y - beta * z
+
+    x, y, z = (float(v) for v in p.x0)
+    out = array("d", (x, y, z))
+    finite = math.isfinite
+    for k in range(1, p.steps + 1):
+        a1, b1, c1 = field(x, y, z)
+        a2, b2, c2 = field(x + half * a1, y + half * b1, z + half * c1)
+        a3, b3, c3 = field(x + half * a2, y + half * b2, z + half * c2)
+        a4, b4, c4 = field(x + dt * a3, y + dt * b3, z + dt * c3)
+        x = x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        y = y + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        z = z + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        if not (finite(x) and finite(y) and finite(z)):
+            raise IntegrationError(f"non-finite state at step {k}")
+        out.extend((x, y, z))
+    return np.frombuffer(out).reshape(-1, 3)
+
+
+def _stepped(fn, params):
+    """fn's trajectory values, or the message of its IntegrationError."""
+    try:
+        return fn(params)
+    except IntegrationError as exc:
+        return f"IntegrationError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 60.0), st.floats(-60.0, 60.0), st.floats(0.0, 60.0),
+       st.tuples(*[st.floats(-50.0, 50.0)] * 3),
+       # a start scaled far out, or to inf and nan, or a long step diverges
+       st.sampled_from([1.0, 1.0, 1.0, 1e100, 1e160, math.inf]),
+       st.one_of(st.floats(1e-6, 0.02), st.floats(0.02, 20.0)),
+       st.integers(1, 300))
+def test_lorenz_matches_the_field_closure_stepper(sigma, rho, beta, x0, scale,
+                                                  dt, steps):
+    params = LorenzParams(sigma, rho, beta, tuple(v * scale for v in x0),
+                          dt, steps)
+    expected = _stepped(reference_lorenz, params)
+    got = _stepped(lambda p: lorenz(p).values, params)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------

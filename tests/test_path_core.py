@@ -281,6 +281,20 @@ def test_normalizing_a_range_that_overflows_raises(mode, what):
             preprocess(a, PreprocessConfig(normalize=mode))
 
 
+@pytest.mark.parametrize("normalize", ["none", "per"])
+def test_centering_a_mean_that_overflows_raises(normalize):
+    values = np.array([[0.0, 1e308], [1.0, 1e308], [0.0, -1e308]])
+    a = Path(np.arange(3.0), values)
+    # only the second path of the batch overflows
+    batch = Path(a.times, np.stack([np.ones_like(values), values]))
+    cfg = PreprocessConfig(center=True, normalize=normalize)
+    with np.errstate(all="raise"):
+        for p in (a, batch):
+            with pytest.raises(ValueError, match="cannot center: the mean of "
+                                                 "channel c2 is not finite"):
+                preprocess(p, cfg)
+
+
 def test_prepend_zero_adds_origin_sample(rng):
     a = random_path(rng, n_samples=10)
     out = preprocess(a, PreprocessConfig(prepend_zero=True))
