@@ -316,14 +316,11 @@ _CHUNK_VALUES = 1 << 16
 def _shuffled(values: np.ndarray, derived_seeds: Sequence[int]) -> np.ndarray:
     """One (T, N) copy of values per seed, each channel permuted by that
     seed's generator in channel order: shape (len(derived_seeds), T, N).
-    Shuffling a copied channel in place gives values[rng.permutation(T), c]
-    from the same draws, as permutation(T) is shuffle(arange(T))."""
+    Generator.permuted along time takes each channel's draws in turn, as
+    rng.permutation(T) would: copy k holds values[rng.permutation(T), c]."""
     out = np.empty((len(derived_seeds),) + values.shape)
-    out[...] = values
     for k, seed in enumerate(derived_seeds):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        for c in range(values.shape[1]):
-            rng.shuffle(out[k, :, c])
+        np.random.Generator(np.random.PCG64(seed)).permuted(values, axis=0, out=out[k])
     return out
 
 

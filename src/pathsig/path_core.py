@@ -319,9 +319,10 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
     by the global maximum range), (4) prepending a zero sample one median
     time step before the first, so the path starts at the origin.
     A constant channel cannot be normalized; it is left unscaled with a
-    warning. A channel whose mean or range overflows float64 raises
-    ValueError naming it. A batch is reduced over time path by path, one
-    channel at a time; the mean keeps the summation order of one path.
+    warning. A channel whose mean, centered values or range overflow
+    float64 raises ValueError naming it. A batch is reduced over time path
+    by path, one channel at a time; the mean keeps the summation order of
+    one path.
     """
     if cfg.smooth_sigma > 0:
         a = gaussian_smooth(a, cfg.smooth_sigma)
@@ -347,6 +348,9 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
                                  f"{a.channel_names[c]} is not finite")
             for c in range(n):
                 np.subtract(a.values[..., c], means[..., c, None], out=body[..., c])
+                if not np.isfinite(body[..., c]).all():
+                    raise ValueError(
+                        f"cannot center: channel {a.channel_names[c]} overflows")
     else:
         body[...] = a.values
     if cfg.normalize != "none":

@@ -570,6 +570,9 @@ def test_nan_smoothing_or_band_is_config_error(argv, field, capsys):
 HUGE = "t,a,b\n0,0,0\n1,1e308,-1e308\n2,-1e308,1e308\n3,1e308,-1e308\n"
 # channel a sums past the float64 range, so its mean is not finite
 CENT = "t,a,b\n0,1e308,0\n1,1e308,1\n2,1e308,0\n3,-1e308,1\n"
+# channel a has a finite mean, but a centered value past the float64 range
+CENT2 = ("t,a,b\n0,1.7e308,0\n1,-1.7e308,1\n2,-1.7e308,0\n3,1.7e308,1\n"
+         "4,-1.7e308,0\n")
 _HUGE_AREA = ["--pairs", "1,2", "--window", "1", "--stride", "1",
               "--smooth-sigma", "0"]
 _NULL = ["--replicates", "4", "--seed", "1"]
@@ -631,18 +634,24 @@ def test_non_finite_result_is_a_named_config_error(argv, result, fmt,
         (["slidearea", CENT, "--center", "--normalize", "per"]
          + _HUGE_AREA + _NULL,
          "cannot center: the mean of channel a is not finite"),
+        (["leadmatrix", CENT2, "--center"],
+         "cannot center: channel a overflows"),
+        (["leadmatrix", CENT2, "--center", "--normalize", "per"],
+         "cannot center: channel a overflows"),
     ],
     ids=["sig", "logsig", "leadmatrix-per", "leadmatrix-global", "sig-per",
          "slidearea-null-global", "leadmatrix-center",
-         "slidearea-null-center-per"],
+         "slidearea-null-center-per", "leadmatrix-center-values",
+         "leadmatrix-center-values-per"],
 )
 def test_overflow_in_a_signature_or_a_range_is_one_line(argv, message,
                                                         tmp_path, capsys):
     """A signature, or a channel range met by normalization, or a channel
-    mean met by centering, that overflows float64 ends in one named line
-    and no numpy warning."""
+    mean or centered value met by centering, that overflows float64 ends in
+    one named line and no numpy warning."""
     files = {HUGE: write_csv(tmp_path, body=HUGE),
-             CENT: write_csv(tmp_path, "cent.csv", body=CENT)}
+             CENT: write_csv(tmp_path, "cent.csv", body=CENT),
+             CENT2: write_csv(tmp_path, "cent2.csv", body=CENT2)}
     argv = [files.get(a, a) for a in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1176,6 +1185,58 @@ def test_config_echo_is_pinned(command, tmp_path, monkeypatch, capsysbinary):
         assert code == 0
         echoes.append(_config_block(written or out))
     assert tuple(echoes) == ECHO[command]
+
+
+@pytest.mark.parametrize(
+    "command, dest",
+    [(command, dest) for command, dests in REQUIRED.items() for dest in dests],
+)
+def test_a_missing_required_option_is_one_line(command, dest, tmp_path,
+                                               monkeypatch, capsysbinary):
+    """Without one of its required options a command exits 5 with one line
+    naming the command and the flag; PATHSIG_<DEST> supplies it as well."""
+    values = _env_values(tmp_path)
+    actions = {a.dest: a for a in _options(COMMANDS[(command,)])}
+    flags = [f for d in REQUIRED[command] if d != dest
+             for f in _flag(actions[d], values[d])]
+    out_file = tmp_path / "out"
+    for name in [n for n in os.environ if n.startswith("PATHSIG_")]:
+        monkeypatch.delenv(name)
+    assert main([command, UNIFORM] + flags) == EXIT_CONFIG
+    out, err = capsysbinary.readouterr()
+    assert out == b""
+    flag = actions[dest].option_strings[-1]
+    assert err.decode() == f"pathsig: config error: {command} needs {flag}\n"
+    by_env = _run([command] + flags, {"PATHSIG_" + dest.upper(): values[dest]},
+                  out_file, monkeypatch, capsysbinary)
+    flags += _flag(actions[dest], values[dest])
+    by_flag = _run([command] + flags, {}, out_file, monkeypatch, capsysbinary)
+    assert by_env[0] == 0
+    assert by_env == by_flag
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["gen", "lorenz", "--x0", "1,2"], {},
+         "--x0 needs exactly three components"),
+        (["gen", "lorenz", "--x0", "a,b,c"], {}, "--x0 'a,b,c' is not x,y,z"),
+        (["gen", "lorenz", "--thin", "0"], {}, "--thin must be >= 1"),
+        (["gen", "cyclic", "--warp-power", "0"], {},
+         "--warp-power must be positive"),
+        (["slidearea", UNIFORM, "--window", "0.2", "--stride", "0.1",
+          "--smooth-sigma", "0"], {"PATHSIG_PAIRS": ""}, "no pairs given"),
+    ],
+    ids=["x0-two", "x0-letters", "thin", "warp-power", "empty-env-pairs"],
+)
+def test_a_bad_option_is_refused_before_any_handler_runs(argv, env, message,
+                                                         monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"pathsig: config error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,22 @@ def test_centering_a_mean_that_overflows_raises(normalize):
                 preprocess(p, cfg)
 
 
+@pytest.mark.parametrize("normalize", ["none", "per"])
+def test_centered_values_that_overflow_raise(normalize):
+    # the mean of c2 is finite (-3.4e307), but 1.7e308 minus it is not
+    values = np.array([[0.0, 1.7e308], [1.0, -1.7e308], [0.0, -1.7e308],
+                       [1.0, 1.7e308], [0.0, -1.7e308]])
+    a = Path(np.arange(5.0), values)
+    # only the second path of the batch overflows
+    batch = Path(a.times, np.stack([np.ones_like(values), values]))
+    cfg = PreprocessConfig(center=True, normalize=normalize)
+    with np.errstate(all="raise"):
+        for p in (a, batch):
+            with pytest.raises(ValueError,
+                               match="cannot center: channel c2 overflows"):
+                preprocess(p, cfg)
+
+
 def test_prepend_zero_adds_origin_sample(rng):
     a = random_path(rng, n_samples=10)
     out = preprocess(a, PreprocessConfig(prepend_zero=True))
