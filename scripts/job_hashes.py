@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Hash the output of one job of each in-process benchmark workload.
+"""Hash the output of one job of each benchmark workload.
 
     python scripts/job_hashes.py --seeds 1 5
     python scripts/job_hashes.py --seeds 1 5 --root ../other-checkout
 
-For each seed, runs setup() and one job() of the events-null and lorenz-sig
-workloads of perfbench/workloads.py, in a temporary directory, and prints
-one line per job: `workload seed sha256`. events-null is hashed over the
-report bytes its job returns; lorenz-sig over its output dict as canonical
-JSON (sorted keys, no spaces, floats as repr). Two checkouts whose lines
-match produced the same job outputs byte for byte, so a change meant to
-keep every output can be compared against its parent. Exits 1 when a
-workload's check() reports a problem with an output.
+For each seed, runs setup() and one job() of the events-null, lorenz-sig
+and cli-csv workloads of perfbench/workloads.py, in a temporary directory,
+and prints one line per job: `workload seed sha256`. events-null is hashed
+over the report bytes its job returns; lorenz-sig over its output dict as
+canonical JSON (sorted keys, no spaces, floats as repr); cli-csv over the
+lead-matrix CSV and then the generated CSV that its two CLI children
+write. Two checkouts whose lines match produced the same job outputs byte
+for byte, so a change meant to keep every output can be compared against
+its parent. Exits 1 when a workload's check() reports a problem with an
+output.
 
 The library and the workloads are imported from --root (default: the
 checkout this script is in); nothing under perfbench/ is modified.
@@ -32,11 +34,13 @@ import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 
-#: the workloads that run in this process; cli-csv runs CLI children
-IN_PROCESS = ("events-null", "lorenz-sig")
+#: the workloads hashed, in the order of the lines printed
+HASHED = ("events-null", "lorenz-sig", "cli-csv")
 
 
-def job_bytes(out) -> bytes:
+def job_bytes(name: str, out) -> bytes:
+    if name == "cli-csv":
+        return (out["matrix"] + out["generated"]).encode("utf-8")
     if isinstance(out, bytes):
         return out
     return json.dumps(out, sort_keys=True, separators=(",", ":"),
@@ -55,14 +59,14 @@ def main(argv=None) -> int:
     import workloads
 
     failed = False
-    for name in IN_PROCESS:
+    for name in HASHED:
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as work:
                 w = workloads.WORKLOADS[name](root, work, seed)
                 w.setup()
                 out = w.job(None)
                 problems = w.check(out)
-            print(name, seed, hashlib.sha256(job_bytes(out)).hexdigest(),
+            print(name, seed, hashlib.sha256(job_bytes(name, out)).hexdigest(),
                   flush=True)
             for problem in problems:
                 print(f"{name} seed {seed}: {problem}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Output is a pure function of (input bytes, flags, environment): JSON
 artifacts use sorted keys and fixed separators, CSV artifacts are written
-row by row in a fixed order, so re-running a command reproduces the bytes
-exactly.
+block by block in a fixed row order, so re-running a command reproduces
+the bytes exactly.
 
 Two tables declare every option and its allowed values once, _COMMANDS
 and _GENERATORS, and build_parser() turns them into the argparse tree; a
@@ -31,18 +31,20 @@ only with --replicates, and the rest unless None or False.
 Exit codes: 0 success, 2 usage (argparse; a flag outside its choices
 included), 3 bad input data (non-UTF-8 bytes and bad event fields
 included), 4 I/O failure, 5 configuration conflict (non-finite window,
-smoothing, band or noise values and bad PATHSIG_* values included), a size
-cap (a generated dataset's rows and replicates x windows included), a
-result or null band that overflows float64, or a diverging integration.
+smoothing, band, noise or warp-power values and bad PATHSIG_* values
+included), a size cap (a generated dataset's rows and replicates x windows
+included), a result or null band that overflows float64, or a diverging
+integration.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import asdict, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,12 +70,12 @@ from .io import (
     CsvFormatError,
     artifact,
     canonical_json,
-    curves_csv,
-    lead_matrix_csv,
+    curves_csv_blocks,
+    lead_matrix_csv_blocks,
     load_events,
     load_path_csv,
-    path_to_csv,
-    reports_csv,
+    path_csv_blocks,
+    reports_csv_blocks,
 )
 from .leadlag import lead_matrix
 from .path_core import Path, PreprocessConfig, preprocess
@@ -98,13 +100,17 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # execution: each handler returns (kind, JSON payload thunk, CSV body thunk),
 # a thunk being None for a format the command does not write, and _emit
-# renders the one the config asks for. The command table below names the
+# renders the one the config asks for. The CSV thunk returns the artifact's
+# text as blocks of rows, which _emit encodes and writes one at a time, so
+# no CSV artifact is ever held whole. The command table below names the
 # handlers; library functions are named at call time, never stored in a
 # table, so that rebinding them on this module (as a tracer does) reaches
 # every command.
 
 Config = argparse.Namespace  # the parsed options of one run are its config
-Output = Tuple[str, Optional[Callable[[], dict]], Optional[Callable[[], str]]]
+Output = Tuple[
+    str, Optional[Callable[[], dict]], Optional[Callable[[], Iterable[str]]]
+]
 
 
 def _load_input(cfg: Config) -> Path:
@@ -140,7 +146,7 @@ def _cmd_leadmatrix(cfg: Config) -> Output:
     return (
         "leadmatrix",
         lambda: {"result": matrix.to_dict()},
-        lambda: lead_matrix_csv(matrix),
+        lambda: lead_matrix_csv_blocks(matrix),
     )
 
 
@@ -166,7 +172,7 @@ def _curves(cfg: Config, name: str, statistic) -> Output:
             ]
         }
 
-    return cfg.command, payload, lambda: curves_csv(curves)
+    return cfg.command, payload, lambda: curves_csv_blocks(curves)
 
 
 def _windowed_command(cfg: Config) -> Output:
@@ -200,7 +206,7 @@ def _windowed_command(cfg: Config) -> Output:
     return (
         cfg.command,
         lambda: {"reports": [r.to_dict() for r in reports]},
-        lambda: reports_csv(reports),
+        lambda: reports_csv_blocks(reports),
     )
 
 
@@ -244,7 +250,7 @@ def _cmd_gen(cfg: Config) -> Output:
         a = three_channel_event_series(
             events, samples=cfg.samples, noise_sigma=cfg.noise, seed=cfg.seed
         )
-    return f"dataset:{cfg.generator}", None, lambda: path_to_csv(a)
+    return f"dataset:{cfg.generator}", None, lambda: path_csv_blocks(a)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +500,10 @@ def _config_from_args(args: Config) -> Config:
         args.x0 = x0
     if given.get("thin", 1) < 1:
         raise ConfigError("--thin must be >= 1")
-    if given.get("warp_power", 1.0) <= 0:
+    warp_power = given.get("warp_power", 1.0)
+    if not np.isfinite(warp_power):
+        raise ConfigError(f"--warp-power must be finite, got {warp_power}")
+    if warp_power <= 0:
         raise ConfigError("--warp-power must be positive")
     if given.get("pairs") is not None:
         args.pairs = _parse_pairs(" ".join(args.pairs))
@@ -530,6 +539,10 @@ def _echo(cfg: Config) -> dict:
 
 
 def _emit(cfg: Config, kind: str, payload, body) -> None:
+    """Write the artifact to -o or stdout: CSV as its `# key=value` lines,
+    then a block of rows at a time. The handlers have checked their results
+    and the blocks only format them, so a run that fails has opened no
+    output file."""
     # an artifact that drew randomness carries its seed
     seed = cfg.seed if cfg.replicates or cfg.command == "gen" else None
     config = _echo(cfg)
@@ -538,15 +551,18 @@ def _emit(cfg: Config, kind: str, payload, body) -> None:
         if seed is not None:
             meta.append(f"seed={seed}")
         meta.append("config=" + canonical_json(config).decode("utf-8").strip())
-        data = ("".join(f"# {m}\n" for m in meta) + body()).encode("utf-8")
+        head = "".join(f"# {m}\n" for m in meta).encode("utf-8")
+        data = itertools.chain(
+            [head], (block.encode("utf-8") for block in body())
+        )
     else:
-        data = canonical_json(artifact(kind, config, payload(), seed))
+        data = [canonical_json(artifact(kind, config, payload(), seed))]
     if cfg.output is None or cfg.output == "-":
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(data)
         sys.stdout.buffer.flush()
     else:
         with open(cfg.output, "wb") as fh:
-            fh.write(data)
+            fh.writelines(data)
 
 
 def run(cfg: Config) -> int:

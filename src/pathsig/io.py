@@ -3,7 +3,10 @@
 All numeric output is written with 17 significant digits so that a save
 followed by a load reproduces every float bit for bit. JSON artifacts are
 rendered with sorted keys and fixed separators, which makes repeated runs
-byte-identical and diffs meaningful.
+byte-identical and diffs meaningful. Each CSV artifact is a block iterator
+(path_csv_blocks, ...), so a writer need never hold its whole text; the
+str writers (path_to_csv, ...) join the blocks. The CSV reader likewise
+converts a bounded block of rows per numpy call.
 """
 
 from __future__ import annotations
@@ -37,12 +40,16 @@ __all__ = [
     "load_path_csv",
     "load_events",
     "path_to_csv",
+    "path_csv_blocks",
     "canonical_json",
     "artifact",
     "lead_matrix_csv",
+    "lead_matrix_csv_blocks",
     "reports_artifact",
     "reports_csv",
+    "reports_csv_blocks",
     "curves_csv",
+    "curves_csv_blocks",
 ]
 
 Source = Union[str, IO[str], IO[bytes]]
@@ -54,6 +61,8 @@ class CsvFormatError(ValueError):
 
 #: rows formatted by one % operation; bounds the tuple of a block's cells
 _BLOCK_ROWS = 4096
+#: rows parsed by one numpy call; bounds the lists of a block's cells
+_READ_ROWS = 512
 
 
 def _csv_line(cells: Sequence[str]) -> str:
@@ -144,34 +153,63 @@ def _parse_path_csv(source: IO[str]) -> Path:
             "header must have a time column and at least one channel, "
             f"got {len(header)} column(s)"
         )
-    n_cols = len(header)
     names = tuple(name.strip() for name in header[1:])
-    times: List[float] = []
-    rows: List[List[float]] = []
-    for row in reader:
-        if not row or row[0].startswith("#"):
-            continue
-        r = reader.line_num
-        if len(row) != n_cols:
-            raise CsvFormatError(
-                f"row {r}: expected {n_cols} columns, got {len(row)}"
-            )
-        parsed: List[float] = []
-        for c, cell in enumerate(row, start=1):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise CsvFormatError(
-                    f"row {r}, column {c}: {cell!r} is not a number"
-                ) from None
-        times.append(parsed[0])
-        rows.append(parsed[1:])
-    if not rows:
+    blocks = list(_data_blocks(reader, len(header)))
+    if not blocks:
         raise CsvFormatError("no data rows after the header")
+    data = np.concatenate(blocks)
+    del blocks  # before Path copies the columns out of data
     try:
-        return Path(np.array(times), np.array(rows), names)
+        return Path(data[:, 0], data[:, 1:], names)
     except ValueError as exc:
         raise CsvFormatError(str(exc)) from None
+
+
+def _data_blocks(reader, n_cols: int) -> Iterator[np.ndarray]:
+    """The data rows as float arrays of up to _READ_ROWS rows each.
+
+    The first fault in reading order is the one raised: a bad cell in a row
+    above a ragged or unreadable one is reported before it.
+    """
+    block: List[List[str]] = []
+    lines: List[int] = []
+    try:
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            if len(row) != n_cols:
+                raise CsvFormatError(
+                    f"row {reader.line_num}: expected {n_cols} columns, "
+                    f"got {len(row)}"
+                )
+            block.append(row)
+            lines.append(reader.line_num)
+            if len(block) == _READ_ROWS:
+                yield _floats(block, lines)
+                block, lines = [], []
+    except (CsvFormatError, csv.Error, UnicodeDecodeError):
+        _floats(block, lines)
+        raise
+    if block:
+        yield _floats(block, lines)
+
+
+def _floats(rows: List[List[str]], lines: List[int]) -> np.ndarray:
+    """Rows of equally many cells as one float array. numpy parses a cell
+    as float() does; when it refuses one, the first cell float() refuses
+    is reported with its line and 1-based column."""
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        for r, row in zip(lines, rows):
+            for c, cell in enumerate(row, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"row {r}, column {c}: {cell!r} is not a number"
+                    ) from None
+        raise
 
 
 def load_events(source: Source) -> List[Event]:
@@ -194,9 +232,14 @@ def load_events(source: Source) -> List[Event]:
 
 
 @one_path
+def path_csv_blocks(a: Path) -> Iterator[str]:
+    """path_to_csv a block of rows at a time."""
+    yield _csv_line(("time",) + tuple(a.channel_names))
+    yield from _rows((), [a.times, a.values])
+
+
 def path_to_csv(a: Path) -> str:
-    header = _csv_line(("time",) + tuple(a.channel_names))
-    return "".join([header, *_rows((), [a.times, a.values])])
+    return "".join(path_csv_blocks(a))
 
 
 def canonical_json(obj: object) -> bytes:
@@ -218,11 +261,15 @@ def artifact(
     return out
 
 
-def lead_matrix_csv(matrix: LeadMatrix) -> str:
-    out = [_csv_line(("",) + tuple(matrix.channel_names))]
+def lead_matrix_csv_blocks(matrix: LeadMatrix) -> Iterator[str]:
+    """lead_matrix_csv a row at a time."""
+    yield _csv_line(("",) + tuple(matrix.channel_names))
     for name, row in zip(matrix.channel_names, matrix.values):
-        out.extend(_rows((name,), [row[None]]))
-    return "".join(out)
+        yield from _rows((name,), [row[None]])
+
+
+def lead_matrix_csv(matrix: LeadMatrix) -> str:
+    return "".join(lead_matrix_csv_blocks(matrix))
 
 
 def reports_artifact(
@@ -234,23 +281,31 @@ def reports_artifact(
     )
 
 
-def reports_csv(reports: Sequence[SignificanceReport]) -> str:
-    """Tidy layout, one row per (pair, time): ready for pandas or gnuplot."""
-    out = ["statistic,i,j,time,observed,null_mean,null_std,band_lo,band_hi,"
-           "significant\n"]
+def reports_csv_blocks(reports: Sequence[SignificanceReport]) -> Iterator[str]:
+    """reports_csv a block of rows at a time."""
+    yield ("statistic,i,j,time,observed,null_mean,null_std,band_lo,band_hi,"
+           "significant\n")
     for r in reports:
         i, j = r.pair if r.pair is not None else (0, 0)
         columns = [r.times, r.observed, r.null_mean, r.null_std, r.band_lo,
                    r.band_hi, r.significant_mask]
-        out.extend(_rows((r.statistic_name, str(i), str(j)), columns))
-    return "".join(out)
+        yield from _rows((r.statistic_name, str(i), str(j)), columns)
+
+
+def reports_csv(reports: Sequence[SignificanceReport]) -> str:
+    """Tidy layout, one row per (pair, time): ready for pandas or gnuplot."""
+    return "".join(reports_csv_blocks(reports))
 
 
 Curve = Tuple[str, Tuple[int, int], np.ndarray, np.ndarray]
 
 
-def curves_csv(curves: Iterable[Curve]) -> str:
-    out = ["statistic,i,j,time,value\n"]
+def curves_csv_blocks(curves: Iterable[Curve]) -> Iterator[str]:
+    """curves_csv a block of rows at a time."""
+    yield "statistic,i,j,time,value\n"
     for name, (i, j), times, vals in curves:
-        out.extend(_rows((name, str(i), str(j)), [times, vals]))
-    return "".join(out)
+        yield from _rows((name, str(i), str(j)), [times, vals])
+
+
+def curves_csv(curves: Iterable[Curve]) -> str:
+    return "".join(curves_csv_blocks(curves))

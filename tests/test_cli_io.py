@@ -25,8 +25,10 @@ from pathsig.cli import (
     build_parser,
     main,
 )
+from pathsig.dynamics import cyclic_pair
 from pathsig.io import (
     CsvFormatError,
+    _floats,
     canonical_json,
     curves_csv,
     lead_matrix_csv,
@@ -81,6 +83,95 @@ def test_comment_lines_are_skipped():
     text = "# kind=dataset\n# config={}\nt,a\n0,1\n1,2\n"
     a = load_path_csv(io.StringIO(text))
     assert a.n_samples == 2
+
+
+def _numbered_csv(n_rows, **replaced):
+    """t,a rows k,k for k < n_rows; replaced maps "r<k>" to row k's text."""
+    rows = [f"{k},{k}\n" for k in range(n_rows)]
+    for key, row in replaced.items():
+        rows[int(key[1:])] = row
+    return io.StringIO("t,a\n" + "".join(rows))
+
+
+@pytest.mark.parametrize("k", [0, 511, 512, 513, 1999])
+def test_a_bad_cell_in_any_block_reports_its_row_and_column(k):
+    """Row k is on line k + 2, wherever the reader's blocks split."""
+    text = _numbered_csv(2000, **{f"r{k}": f"{k},1e\n"})
+    with pytest.raises(CsvFormatError) as exc:
+        load_path_csv(text)
+    assert str(exc.value) == f"row {k + 2}, column 2: '1e' is not a number"
+
+
+def test_a_bad_cell_after_a_quoted_multiline_field_keeps_its_line():
+    """A quoted time spanning two lines moves the rows below it down one
+    line; float() accepts the time, which ends in its newline."""
+    text = _numbered_csv(1200, r600='"600\n",600\n', r900="900,9x9\n")
+    with pytest.raises(CsvFormatError) as exc:
+        load_path_csv(text)
+    assert str(exc.value) == "row 903, column 2: '9x9' is not a number"
+
+
+@pytest.mark.parametrize(
+    "replaced, message",
+    [
+        ({"r700": "700,x\n", "r900": "900\n"},
+         "row 702, column 2: 'x' is not a number"),
+        ({"r700": "700\n", "r900": "900,x\n"},
+         "row 702: expected 2 columns, got 1"),
+        ({"r100": "100,x\n", "r400": '400,"' + "9" * 200_000 + '"\n'},
+         "row 102, column 2: 'x' is not a number"),
+    ],
+    ids=["cell-then-ragged", "ragged-then-cell", "cell-then-over-the-limit"],
+)
+def test_the_first_fault_in_reading_order_is_reported(replaced, message):
+    """A bad cell, a ragged row and a field over csv.field_size_limit() are
+    reported in the order of the file, within a block as across blocks."""
+    with pytest.raises(CsvFormatError) as exc:
+        load_path_csv(_numbered_csv(1200, **replaced))
+    assert str(exc.value) == message
+
+
+def _float_or_none(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+# text near float()'s syntax (signs, exponents, "_", blanks, NUL, non-ASCII
+# digits, nan and inf), exact float reprs and arbitrary text
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.text(st.sampled_from("0123456789+-.eE_ \t\n\0\u0661\u2003infatyINF"),
+            max_size=8),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_CELLS, min_size=n, max_size=n), min_size=1,
+                       max_size=4)))
+def test_block_conversion_accepts_exactly_what_float_accepts(rows):
+    """A block is converted bit for bit as float() converts each cell; a
+    cell float() refuses is reported at its row and column."""
+    lines = [3 * r + 2 for r in range(len(rows))]
+    parsed = [[_float_or_none(cell) for cell in row] for row in rows]
+    bad = [
+        (line, c, cell)
+        for line, row, values in zip(lines, rows, parsed)
+        for c, (cell, value) in enumerate(zip(row, values), start=1)
+        if value is None
+    ]
+    if not bad:
+        assert _floats(rows, lines).tobytes() == np.array(parsed).tobytes()
+        return
+    with pytest.raises(CsvFormatError) as exc:
+        _floats(rows, lines)
+    line, c, cell = bad[0]
+    assert str(exc.value) == (
+        f"row {line}, column {c}: {cell!r} is not a number"
+    )
 
 
 def test_round_trip_is_bit_exact(rng):
@@ -1224,10 +1315,15 @@ def test_a_missing_required_option_is_one_line(command, dest, tmp_path,
         (["gen", "lorenz", "--thin", "0"], {}, "--thin must be >= 1"),
         (["gen", "cyclic", "--warp-power", "0"], {},
          "--warp-power must be positive"),
+        (["gen", "cyclic", "--warp-power", "nan"], {},
+         "--warp-power must be finite, got nan"),
+        (["gen", "cyclic", "--warp-power", "inf"], {},
+         "--warp-power must be finite, got inf"),
         (["slidearea", UNIFORM, "--window", "0.2", "--stride", "0.1",
           "--smooth-sigma", "0"], {"PATHSIG_PAIRS": ""}, "no pairs given"),
     ],
-    ids=["x0-two", "x0-letters", "thin", "warp-power", "empty-env-pairs"],
+    ids=["x0-two", "x0-letters", "thin", "warp-power", "warp-power-nan",
+         "warp-power-inf", "empty-env-pairs"],
 )
 def test_a_bad_option_is_refused_before_any_handler_runs(argv, env, message,
                                                          monkeypatch, capsys):
@@ -1237,6 +1333,33 @@ def test_a_bad_option_is_refused_before_any_handler_runs(argv, env, message,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"pathsig: config error: {message}\n"
+
+
+def test_gen_streams_its_csv_a_block_at_a_time(tmp_path):
+    """Writing 200,000 generated rows peaks below the size of the file they
+    make: the text is never held whole, in one string or in its bytes."""
+    out = tmp_path / "gen.csv"
+    assert main(["gen", "cyclic", "--samples", "64", "-o", str(out)]) == 0
+    code, peak = _peak_of_main(["gen", "cyclic", "--samples", "200000",
+                                "--noise", "0.05", "--seed", "1",
+                                "-o", str(out)])
+    assert code == 0
+    assert peak < out.stat().st_size
+
+
+def test_reading_a_csv_peaks_below_three_times_its_array(tmp_path, rng):
+    """The reader converts a block of rows per numpy call, so no list of
+    every row's cells or floats is built next to the parsed array."""
+    a = random_path(rng, n_samples=10_000, n_channels=20, uniform=False)
+    f = write_csv(tmp_path, body=path_to_csv(a))
+    load_path_csv(f)
+    tracemalloc.start()
+    try:
+        back = load_path_csv(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (back.times.nbytes + back.values.nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -1267,6 +1390,26 @@ def test_gen_is_byte_identical(capfdbinary):
     first = capfdbinary.readouterr().out
     assert main(args) == 0
     assert first == capfdbinary.readouterr().out
+
+
+def test_a_multi_block_gen_is_the_same_through_a_file_and_stdout(
+    tmp_path, capfdbinary
+):
+    """10,000 rows are written as three blocks; both outputs carry the
+    meta lines and then exactly path_to_csv's text."""
+    argv = ["gen", "cyclic", "--samples", "10000", "--noise", "0.05",
+            "--seed", "3"]
+    out = tmp_path / "gen.csv"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert main(argv) == 0
+    streamed = capfdbinary.readouterr().out
+    assert out.read_bytes() == streamed
+    *meta, body = streamed.split(b"\n", 4)
+    assert [line.split(b"=")[0] for line in meta] == [
+        b"# kind", b"# version", b"# seed", b"# config"
+    ]
+    a = cyclic_pair(samples=10000, noise_sigma=0.05, seed=3)
+    assert body == path_to_csv(a).encode("utf-8")
 
 
 def test_output_file_matches_stdout(tmp_path, capfdbinary):
