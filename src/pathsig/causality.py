@@ -359,7 +359,10 @@ def shuffle_null(
     shape (R, W), row r being what one path would give. A statistic that
     returns another shape raises "statistic changed length under
     shuffling". Raises ValueError when the observed curve or the null's
-    mean, std or bands overflow float64.
+    mean, std or bands overflow float64. A replicate can fail where the
+    observed series does not: under centering its mean is a float sum in
+    shuffled order, which can overflow. That error is raised prefixed with
+    "a shuffled replicate failed: ".
     """
 
     def pipeline(p: Path) -> Tuple[np.ndarray, np.ndarray]:
@@ -381,7 +384,10 @@ def shuffle_null(
         for r0 in range(0, spec.replicates, chunk):
             r1 = min(r0 + chunk, spec.replicates)
             seeds = [mix_seed(spec.seed, r) for r in range(r0, r1)]
-            _, batch = pipeline(a.with_values(_shuffled(a.values, seeds)))
+            try:
+                _, batch = pipeline(a.with_values(_shuffled(a.values, seeds)))
+            except ValueError as e:
+                raise ValueError(f"a shuffled replicate failed: {e}") from e
             if np.shape(batch) != (r1 - r0, observed.size):
                 raise ValueError("statistic changed length under shuffling")
             curves[r0:r1] = batch

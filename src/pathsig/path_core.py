@@ -69,7 +69,8 @@ class Path:
             )
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
             raise ValueError("times and values must be finite")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
+        # compared, not subtracted: a gap between finite times can overflow
+        if t.size > 1 and not np.all(t[1:] > t[:-1]):
             raise ValueError("times must be strictly increasing")
         names = tuple(self.channel_names)
         if not names:
@@ -104,11 +105,13 @@ class Path:
         return self.values[..., i - 1]
 
     def is_uniform(self) -> bool:
-        """True when the time grid is uniform to relative tolerance 1e-8."""
+        """True when the time grid is uniform to relative tolerance 1e-8.
+        A gap that overflows float64 makes the grid not uniform."""
         if self.n_samples < 3:
             return True
-        dt = np.diff(self.times)
-        return bool(np.max(np.abs(dt - dt[0])) <= _UNIFORM_RTOL * abs(dt[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt = np.diff(self.times)
+            return bool(np.max(np.abs(dt - dt[0])) <= _UNIFORM_RTOL * abs(dt[0]))
 
     def with_values(self, values: np.ndarray) -> "Path":
         return Path(self.times, values, self.channel_names)

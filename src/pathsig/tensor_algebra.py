@@ -6,6 +6,12 @@ of N**k coefficients in lexicographic word order, i.e. the word
 (i_1, ..., i_k) sits at the base-N integer with digits (i_1 - 1, ..., i_k - 1).
 Words themselves are plain tuples of 1-based letters; the empty tuple is the
 constant term.
+
+The product, exp and log share one kernel over plain lists of grade arrays.
+np.multiply.outer of two flat grade arrays, raveled, concatenates words in
+lexicographic storage order, so no index shuffling is needed. exp and log
+skip the terms with a factor that is zero by construction and check
+finiteness once, on their result.
 """
 
 from __future__ import annotations
@@ -196,20 +202,34 @@ class TruncatedTensor:
         )
 
 
+def _graded_product(a: Sequence[np.ndarray], b: Sequence[np.ndarray], n: int,
+                    level: int, low_a: int, low_b: int) -> List[np.ndarray]:
+    """Grades 0..level of the product of grade lists a and b over N = n.
+
+    Grade k adds the outer products of a[p] and b[k - p] in increasing p to
+    a +0.0 accumulator. The grades of a below low_a and of b below low_b
+    must be zero (of either sign), and their terms are skipped. The
+    accumulator never holds -0.0, so a +-0.0 term leaves its bits alone: a
+    finite result is bit-identical to one that keeps every term.
+    """
+    out = []
+    for k in range(level + 1):
+        acc = np.zeros(n**k)
+        for p in range(low_a, k - low_b + 1):
+            acc += np.multiply.outer(a[p], b[k - p]).ravel()
+        out.append(acc)
+    return out
+
+
 def tensor_product(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
     """Graded product of two truncated tensors; grades above L are discarded.
 
-    Grade-k output is sum over p+q=k of (grade-p of a) tensor (grade-q of b).
-    np.kron on flat grade arrays concatenates words in lexicographic storage
-    order, so no index shuffling is needed.
+    Grade-k output is sum over p+q=k of (grade-p of a) tensor (grade-q of b),
+    every term kept.
     """
     a._check_compatible(b)
-    out: List[np.ndarray] = []
-    for k in range(a.level + 1):
-        acc = np.zeros(a.alphabet_size**k)
-        for p in range(k + 1):
-            acc += np.kron(a.levels[p], b.levels[k - p])
-        out.append(acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _graded_product(a.levels, b.levels, a.alphabet_size, a.level, 0, 0)
     return TruncatedTensor(a.alphabet_size, a.level, tuple(out))
 
 
@@ -217,29 +237,42 @@ def tensor_exp(a: TruncatedTensor) -> TruncatedTensor:
     """exp(a) = sum_{j>=0} a^(x)j / j!, truncated at L.
 
     Requires a zero constant term, so a^(x)j has lowest grade j and the sum
-    is finite (j <= L).
+    is finite (j <= L). An overflow raises ValueError naming the lowest
+    non-finite grade of the result.
     """
     if a.levels[0][0] != 0.0:
         raise ValueError("tensor_exp requires a zero constant term")
-    result = TruncatedTensor.unit(a.alphabet_size, a.level)
-    power = TruncatedTensor.unit(a.alphabet_size, a.level)
-    for j in range(1, a.level + 1):
-        power = tensor_product(power, a) * (1.0 / j)
-        result = result + power
-    return result
+    n, level = a.alphabet_size, a.level
+    power = TruncatedTensor.unit(n, level).levels
+    result = [lvl.copy() for lvl in power]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, level + 1):
+            power = _graded_product(power, a.levels, n, level, j - 1, 1)
+            for k in range(j, level + 1):
+                power[k] *= 1.0 / j
+                result[k] += power[k]
+    return TruncatedTensor(n, level, tuple(result))
 
 
 def tensor_log(s: TruncatedTensor) -> TruncatedTensor:
-    """log(s) = sum_{j>=1} (-1)^(j-1)/j (s - 1)^(x)j, truncated at L."""
+    """log(s) = sum_{j>=1} (-1)^(j-1)/j (s - 1)^(x)j, truncated at L.
+
+    s - 1 is s with grade 0 zeroed, so the kernel reads s's grades and skips
+    grade 0. An overflow raises ValueError naming the lowest non-finite
+    grade of the result.
+    """
     if s.levels[0][0] != 1.0:
         raise ValueError("tensor_log requires constant term exactly 1")
-    x = s - TruncatedTensor.unit(s.alphabet_size, s.level)
-    result = TruncatedTensor.zero(s.alphabet_size, s.level)
-    power = TruncatedTensor.unit(s.alphabet_size, s.level)
-    for j in range(1, s.level + 1):
-        power = tensor_product(power, x)
-        result = result + power * ((-1.0) ** (j - 1) / j)
-    return result
+    n, level = s.alphabet_size, s.level
+    power = TruncatedTensor.unit(n, level).levels
+    result = [np.zeros(n**k) for k in range(level + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, level + 1):
+            power = _graded_product(power, s.levels, n, level, j - 1, 1)
+            c = (-1.0) ** (j - 1) / j
+            for k in range(j, level + 1):
+                result[k] += power[k] * c
+    return TruncatedTensor(n, level, tuple(result))
 
 
 def shuffle(i: Sequence[int], j: Sequence[int]) -> List[Word]:

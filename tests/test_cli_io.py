@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathsig import LeadMatrix, Path, SignificanceReport, signature
@@ -211,8 +211,12 @@ def _csv_paths(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_csv_paths())
+# a time gap past the float64 range
+@example(Path(np.array([-1e308, 1e308]), np.zeros((2, 1)), ("a",)))
 def test_csv_round_trip_is_bit_exact_on_any_path(a):
-    back = load_path_csv(io.BytesIO(path_to_csv(a).encode("utf-8")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        back = load_path_csv(io.BytesIO(path_to_csv(a).encode("utf-8")))
     assert back.times.tobytes() == a.times.tobytes()
     assert back.values.tobytes() == a.values.tobytes()
     assert back.channel_names == a.channel_names
@@ -664,6 +668,8 @@ CENT = "t,a,b\n0,1e308,0\n1,1e308,1\n2,1e308,0\n3,-1e308,1\n"
 # channel a has a finite mean, but a centered value past the float64 range
 CENT2 = ("t,a,b\n0,1.7e308,0\n1,-1.7e308,1\n2,-1.7e308,0\n3,1.7e308,1\n"
          "4,-1.7e308,0\n")
+# a finite signature whose level-6 log overflows
+BIGLOG = "t,a,b,c\n0,0,0,0\n1,1,5e51,1\n"
 _HUGE_AREA = ["--pairs", "1,2", "--window", "1", "--stride", "1",
               "--smooth-sigma", "0"]
 _NULL = ["--replicates", "4", "--seed", "1"]
@@ -712,6 +718,7 @@ def test_non_finite_result_is_a_named_config_error(argv, result, fmt,
     [
         (["sig", HUGE], "non-finite coefficient at grade 1"),
         (["logsig", HUGE, "--level", "3"], "non-finite coefficient at grade 1"),
+        (["logsig", BIGLOG, "--level", "6"], "non-finite coefficient at grade 6"),
         (["leadmatrix", HUGE, "--normalize", "per"],
          "cannot normalize: the range of channel a is not finite"),
         (["leadmatrix", HUGE, "--normalize", "global"],
@@ -730,17 +737,18 @@ def test_non_finite_result_is_a_named_config_error(argv, result, fmt,
         (["leadmatrix", CENT2, "--center", "--normalize", "per"],
          "cannot center: channel a overflows"),
     ],
-    ids=["sig", "logsig", "leadmatrix-per", "leadmatrix-global", "sig-per",
-         "slidearea-null-global", "leadmatrix-center",
+    ids=["sig", "logsig", "logsig-level6", "leadmatrix-per",
+         "leadmatrix-global", "sig-per", "slidearea-null-global", "leadmatrix-center",
          "slidearea-null-center-per", "leadmatrix-center-values",
          "leadmatrix-center-values-per"],
 )
 def test_overflow_in_a_signature_or_a_range_is_one_line(argv, message,
                                                         tmp_path, capsys):
-    """A signature, or a channel range met by normalization, or a channel
-    mean or centered value met by centering, that overflows float64 ends in
-    one named line and no numpy warning."""
+    """A signature or its log, or a channel range met by normalization, or
+    a channel mean or centered value met by centering, that overflows
+    float64 ends in one named line and no numpy warning."""
     files = {HUGE: write_csv(tmp_path, body=HUGE),
+             BIGLOG: write_csv(tmp_path, "biglog.csv", body=BIGLOG),
              CENT: write_csv(tmp_path, "cent.csv", body=CENT),
              CENT2: write_csv(tmp_path, "cent2.csv", body=CENT2)}
     argv = [files.get(a, a) for a in argv]
@@ -750,6 +758,47 @@ def test_overflow_in_a_signature_or_a_range_is_one_line(argv, message,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"pathsig: config error: {message}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# channel a alternates +-0.85e308: its mean in time order is finite, but a
+# shuffled order can sum past the float64 range
+ALT = "t,a,b\n" + "".join(
+    f"{i},{0.85e308 if i % 2 == 0 else -0.85e308},{(7 * i) % 5}\n"
+    for i in range(40))
+_ALT_AREA = ["slidearea", ALT, "--pairs", "1,2", "--window", "10", "--stride",
+             "5", "--smooth-sigma", "0", "--center", "--normalize", "per"]
+
+
+def test_a_replicate_that_cannot_be_centered_is_named(tmp_path, capsys):
+    """The observed series centers, so the run without a null exits 0; a
+    shuffled replicate whose mean overflows ends the null run with exit 5
+    and one line that says a replicate failed."""
+    argv = [write_csv(tmp_path, "alt.csv", body=ALT) if a == ALT else a
+            for a in _ALT_AREA]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+        assert main(argv + ["--replicates", "20", "--seed", "1"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert json.loads(out)["curves"][0]["pair"] == [1, 2]
+    assert err == ("pathsig: config error: a shuffled replicate failed: "
+                   "cannot center: the mean of channel a is not finite\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_time_gap_past_float64_is_not_a_warning(tmp_path, capsys):
+    """Times whose gaps overflow float64 are still increasing: the run
+    succeeds with no numpy warning, and the grid is not uniform."""
+    gap = write_csv(tmp_path, "gap.csv",
+                    body="t,a,b\n-1e308,0,0\n1e308,1,5\n1.5e308,1,1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["leadmatrix", gap]) == 0
+        assert not load_path_csv(gap).is_uniform()
+    out, err = capsys.readouterr()
+    assert json.loads(out)["result"]["A"] == [[0.0, -2.0], [2.0, 0.0]]
+    assert err == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

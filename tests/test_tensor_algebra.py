@@ -195,6 +195,92 @@ def test_log_exp_round_trip(rng):
 
 
 # ---------------------------------------------------------------------------
+# product, exp and log against the np.kron versions they replaced
+
+
+def _kron_product(a: TruncatedTensor, b: TruncatedTensor) -> TruncatedTensor:
+    a._check_compatible(b)
+    out = []
+    for k in range(a.level + 1):
+        acc = np.zeros(a.alphabet_size**k)
+        for p in range(k + 1):
+            acc += np.kron(a.levels[p], b.levels[k - p])
+        out.append(acc)
+    return TruncatedTensor(a.alphabet_size, a.level, tuple(out))
+
+
+def _kron_exp(a: TruncatedTensor) -> TruncatedTensor:
+    if a.levels[0][0] != 0.0:
+        raise ValueError("tensor_exp requires a zero constant term")
+    result = TruncatedTensor.unit(a.alphabet_size, a.level)
+    power = TruncatedTensor.unit(a.alphabet_size, a.level)
+    for j in range(1, a.level + 1):
+        power = _kron_product(power, a) * (1.0 / j)
+        result = result + power
+    return result
+
+
+def _kron_log(s: TruncatedTensor) -> TruncatedTensor:
+    if s.levels[0][0] != 1.0:
+        raise ValueError("tensor_log requires constant term exactly 1")
+    x = s - TruncatedTensor.unit(s.alphabet_size, s.level)
+    result = TruncatedTensor.zero(s.alphabet_size, s.level)
+    power = TruncatedTensor.unit(s.alphabet_size, s.level)
+    for j in range(1, s.level + 1):
+        power = _kron_product(power, x)
+        result = result + power * ((-1.0) ** (j - 1) / j)
+    return result
+
+
+@st.composite
+def _tensors(draw, n, level, constants):
+    """Grades of normal draws at one of several scales, with +-0.0 sprinkled
+    in, or grades that are all +0.0 or all -0.0; the largest scale
+    overflows the higher grades of a product, exp or log."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e60]))
+    levels = [np.array([draw(st.sampled_from(constants))])]
+    for k in range(1, level + 1):
+        kind = draw(st.sampled_from(["values", "values", "+0", "-0"]))
+        v = rng.normal(size=n**k) * scale
+        if kind == "values":
+            u = rng.random(n**k)
+            v[u < 0.15] = 0.0
+            v[u > 0.85] = -0.0
+        else:
+            v[:] = 0.0 if kind == "+0" else -0.0
+        levels.append(v)
+    return TruncatedTensor(n, level, tuple(levels))
+
+
+def _assert_same_bits_or_both_raise(new, old, *args):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = old(*args)
+    except ValueError:
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            new(*args)
+        return
+    got = new(*args)
+    for x, y in zip(got.levels, expected.levels):
+        assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(0, 6))
+def test_product_exp_and_log_match_the_kron_versions_bit_for_bit(data, n, level):
+    """Same bits, signed zeros included, and a ValueError exactly where the
+    np.kron versions raised one."""
+    a = data.draw(_tensors(n, level, [0.0, -0.0, 1.0, -2.5]))
+    b = data.draw(_tensors(n, level, [0.0, -0.0, 1.0, 0.5]))
+    _assert_same_bits_or_both_raise(tensor_product, _kron_product, a, b)
+    a0 = data.draw(_tensors(n, level, [0.0, -0.0]))
+    _assert_same_bits_or_both_raise(tensor_exp, _kron_exp, a0)
+    s = data.draw(_tensors(n, level, [1.0]))
+    _assert_same_bits_or_both_raise(tensor_log, _kron_log, s)
+
+
+# ---------------------------------------------------------------------------
 # shuffle product
 
 
