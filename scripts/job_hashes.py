@@ -10,13 +10,17 @@ and prints one line per job: `workload seed sha256`. events-null is hashed
 over the report bytes its job returns; lorenz-sig over its output dict as
 canonical JSON (sorted keys, no spaces, floats as repr); cli-csv over the
 lead-matrix CSV and then the generated CSV that its two CLI children
-write. Two checkouts whose lines match produced the same job outputs byte
-for byte, so a change meant to keep every output can be compared against
-its parent. Exits 1 when a workload's check() reports a problem with an
-output.
+write. Then it runs every case of CASES in tests/test_golden.py through
+pathsig.cli.main with -o, its inputs under tests/golden/, and prints one
+line per artifact: `golden case sha256`, over the file's bytes (the
+golden tests compare to 1e-12; these lines compare bytes). Two checkouts
+whose lines match produced the same outputs byte for byte, so a change
+meant to keep every output can be compared against its parent. Exits 1
+when a workload's check() reports a problem with an output, or a golden
+case does not exit 0 (its line is then left out).
 
-The library and the workloads are imported from --root (default: the
-checkout this script is in); nothing under perfbench/ is modified.
+The library, the workloads and the cases are read from --root (default:
+the checkout this script is in); nothing under perfbench/ is modified.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import ast  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -47,12 +52,22 @@ def job_bytes(name: str, out) -> bytes:
                       allow_nan=False).encode("utf-8")
 
 
+def golden_cases(root: str) -> dict:
+    """CASES of tests/test_golden.py, read as the literal it is."""
+    with open(os.path.join(root, "tests", "test_golden.py")) as fh:
+        for node in ast.parse(fh.read()).body:
+            if (isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["CASES"]):
+                return ast.literal_eval(node.value)
+    raise SystemExit("tests/test_golden.py defines no CASES")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 5])
     ap.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))),
-        help="source checkout whose src/ and perfbench/ are run")
+        help="source checkout whose src/, perfbench/ and golden cases run")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
@@ -71,6 +86,22 @@ def main(argv=None) -> int:
             for problem in problems:
                 print(f"{name} seed {seed}: {problem}", file=sys.stderr)
             failed = failed or bool(problems)
+    from pathsig.cli import main as cli_main
+
+    golden = os.path.join(root, "tests", "golden")
+    for case, case_argv in sorted(golden_cases(root).items()):
+        case_argv = [os.path.join(golden, a) if a.endswith(".csv") else a
+                     for a in case_argv]
+        with tempfile.TemporaryDirectory() as work:
+            out = os.path.join(work, "artifact")
+            code = cli_main(case_argv + ["-o", out])
+            if code != 0:
+                print(f"golden {case}: exit {code}", file=sys.stderr)
+                failed = True
+                continue
+            with open(out, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+        print("golden", case, digest, flush=True)
     return 1 if failed else 0
 
 

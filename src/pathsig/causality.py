@@ -266,11 +266,11 @@ def sliding_signature_derivative(
     are differences of the stream integral signature_derivative_integral.
     """
     i, j = pair
-    if w is None:
+    # the faults signature_derivative names (one sample, a bad channel) come
+    # before a window's, and the windows before the integral, which can warn
+    if w is None or a.n_samples < 2:
         return signature_derivative(a, i, j)
-    _, integral = signature_derivative_integral(a, i, j)
-    weighted = _from_zero(integral)
-    span = _from_zero(np.cumsum(np.diff(a.times)))
+    a.channel(i), a.channel(j)
     dt = _uniform_dt(a)
     if dt is not None:
         k1, k2 = _index_windows(a, dt, w)
@@ -282,6 +282,9 @@ def sliding_signature_derivative(
         k1, k2 = k1[keep], k2[keep]
         if k1.size == 0:
             raise ValueError("no window contains a full segment")
+    _, integral = signature_derivative_integral(a, i, j)
+    weighted = _from_zero(integral)
+    span = _from_zero(np.cumsum(np.diff(a.times)))
     values = (weighted[..., k2] - weighted[..., k1]) / (span[k2] - span[k1])
     centers = 0.5 * (a.times[k1] + a.times[k2])
     return centers, values

@@ -21,6 +21,8 @@ reads `<command> needs --<flag>`), the handler reads it, and _echo writes
 the config block each artifact carries. A handler returns (kind, JSON
 payload thunk, CSV body thunk) and one emitter renders the requested format,
 wrapping JSON with io.artifact and CSV with `# key=value` provenance lines.
+The pairwise commands, slidearea, influence and xcorr, share one handler:
+one loop over the pairs, one finiteness check of each pair's curve.
 
 The config block is one rule over the command's options, less the output
 path: an artifact must not depend on where it was written. A generator
@@ -33,8 +35,8 @@ included), 3 bad input data (non-UTF-8 bytes and bad event fields
 included), 4 I/O failure, 5 configuration conflict (non-finite window,
 smoothing, band, noise or warp-power values and bad PATHSIG_* values
 included), a size cap (a generated dataset's rows and replicates x windows
-included), a result or null band that overflows float64, or a diverging
-integration.
+included), a result, curve times, a prepended origin time or a null band
+that overflows float64, or a diverging integration.
 """
 
 from __future__ import annotations
@@ -150,39 +152,47 @@ def _cmd_leadmatrix(cfg: Config) -> Output:
     )
 
 
-def _curves(cfg: Config, name: str, statistic) -> Output:
-    """One curve per pair from statistic(path, pair) -> (times, values)."""
-    a = _prepared(cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        curves = [(name, pair, *statistic(a, pair)) for pair in cfg.pairs]
-    for _, (i, j), _, values in curves:
-        if not np.isfinite(values).all():
-            raise ValueError(f"the {name} curve of pair {i},{j} is not finite")
-
-    def payload() -> dict:
-        return {
-            "curves": [
-                {
-                    "statistic": name,
-                    "pair": list(pair),
-                    "times": [float(t) for t in times],
-                    "values": [float(v) for v in vals],
-                }
-                for name, pair, times, vals in curves
-            ]
-        }
-
-    return cfg.command, payload, lambda: curves_csv_blocks(curves)
-
-
-def _windowed_command(cfg: Config) -> Output:
-    if cfg.command == "slidearea":
-        name, sliding = "signed_area", sliding_signed_area
+def _cmd_pairwise(cfg: Config) -> Output:
+    """slidearea, influence and xcorr: the command's statistic of each pair
+    as a curve, or with --replicates as a shuffle_null report."""
+    if cfg.command == "xcorr":
+        name, measure, arg = "xcorr", cross_correlation, cfg.lags
     else:
-        name, sliding = "signature_derivative", sliding_signature_derivative
-    w = WindowSpec(cfg.window, cfg.stride) if cfg.window is not None else None
+        if cfg.command == "slidearea":
+            name, measure = "signed_area", sliding_signed_area
+        else:
+            name, measure = "signature_derivative", sliding_signature_derivative
+        arg = WindowSpec(cfg.window, cfg.stride) if cfg.window is not None else None
+
+    def curve(p: Path, pair: Tuple[int, int], arg):
+        times, values = measure(p, pair, arg)
+        # with --replicates shuffle_null judges the values; times fail here
+        # first, before any replicate is drawn
+        if not (np.isfinite(times).all()
+                and (cfg.replicates or np.isfinite(values).all())):
+            raise ValueError(
+                f"the {name} curve of pair {pair[0]},{pair[1]} is not finite")
+        return times, values
+
     if not cfg.replicates:
-        return _curves(cfg, name, lambda a, pair: sliding(a, pair, w))
+        a = _prepared(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            curves = [(name, pair, *curve(a, pair, arg)) for pair in cfg.pairs]
+
+        def payload() -> dict:
+            return {
+                "curves": [
+                    {
+                        "statistic": name,
+                        "pair": list(pair),
+                        "times": [float(t) for t in times],
+                        "values": [float(v) for v in vals],
+                    }
+                    for _, pair, times, vals in curves
+                ]
+            }
+
+        return cfg.command, payload, lambda: curves_csv_blocks(curves)
     raw = _load_input(cfg)
     spec = NullModelSpec(
         replicates=cfg.replicates,
@@ -194,9 +204,9 @@ def _windowed_command(cfg: Config) -> Output:
     reports = [
         shuffle_null(
             raw,
-            lambda p, win, pair=pair: sliding(p, pair, win),
+            lambda p, win, pair=pair: curve(p, pair, win),
             spec,
-            w=w,
+            w=arg,
             preprocess_cfg=cfg.preprocess,
             statistic_name=name,
             pair=pair,
@@ -207,12 +217,6 @@ def _windowed_command(cfg: Config) -> Output:
         cfg.command,
         lambda: {"reports": [r.to_dict() for r in reports]},
         lambda: reports_csv_blocks(reports),
-    )
-
-
-def _cmd_xcorr(cfg: Config) -> Output:
-    return _curves(
-        cfg, "xcorr", lambda a, pair: cross_correlation(a, pair, cfg.lags)
     )
 
 
@@ -327,19 +331,19 @@ _COMMANDS = {
     "slidearea": (
         "sliding-window signed area, optionally against a shuffled null",
         _WINDOWED,
-        _windowed_command,
+        _cmd_pairwise,
         ("pairs", "window", "stride", "smooth_sigma"),
     ),
     "influence": (
         "signature-derivative influence stream",
         _WINDOWED,
-        _windowed_command,
+        _cmd_pairwise,
         ("pairs",),
     ),
     "xcorr": (
         "lagged cross-correlation",
         _SOURCE + [_FORMAT, _PAIRS, _opt("--lags", float, help="maximum lag")],
-        _cmd_xcorr,
+        _cmd_pairwise,
         ("pairs", "lags"),
     ),
     "granger": (

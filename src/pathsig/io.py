@@ -3,9 +3,9 @@
 All numeric output is written with 17 significant digits so that a save
 followed by a load reproduces every float bit for bit. JSON artifacts are
 rendered with sorted keys and fixed separators, which makes repeated runs
-byte-identical and diffs meaningful. Each CSV artifact is a block iterator
-(path_csv_blocks, ...), so a writer need never hold its whole text; the
-str writers (path_to_csv, ...) join the blocks. The CSV reader likewise
+byte-identical and diffs meaningful. Each CSV artifact has one writer, a
+block iterator (path_csv_blocks, ...), so its whole text is never held; a
+caller that wants one str joins the blocks. The CSV reader likewise
 converts a bounded block of rows per numpy call.
 """
 
@@ -39,16 +39,12 @@ __all__ = [
     "utf8_text",
     "load_path_csv",
     "load_events",
-    "path_to_csv",
     "path_csv_blocks",
     "canonical_json",
     "artifact",
-    "lead_matrix_csv",
     "lead_matrix_csv_blocks",
     "reports_artifact",
-    "reports_csv",
     "reports_csv_blocks",
-    "curves_csv",
     "curves_csv_blocks",
 ]
 
@@ -233,13 +229,9 @@ def load_events(source: Source) -> List[Event]:
 
 @one_path
 def path_csv_blocks(a: Path) -> Iterator[str]:
-    """path_to_csv a block of rows at a time."""
+    """The path as CSV, a block of rows at a time."""
     yield _csv_line(("time",) + tuple(a.channel_names))
     yield from _rows((), [a.times, a.values])
-
-
-def path_to_csv(a: Path) -> str:
-    return "".join(path_csv_blocks(a))
 
 
 def canonical_json(obj: object) -> bytes:
@@ -262,14 +254,10 @@ def artifact(
 
 
 def lead_matrix_csv_blocks(matrix: LeadMatrix) -> Iterator[str]:
-    """lead_matrix_csv a row at a time."""
+    """The lead matrix as CSV, a row at a time."""
     yield _csv_line(("",) + tuple(matrix.channel_names))
     for name, row in zip(matrix.channel_names, matrix.values):
         yield from _rows((name,), [row[None]])
-
-
-def lead_matrix_csv(matrix: LeadMatrix) -> str:
-    return "".join(lead_matrix_csv_blocks(matrix))
 
 
 def reports_artifact(
@@ -282,7 +270,8 @@ def reports_artifact(
 
 
 def reports_csv_blocks(reports: Sequence[SignificanceReport]) -> Iterator[str]:
-    """reports_csv a block of rows at a time."""
+    """Significance reports as CSV, a block of rows at a time. Tidy layout,
+    one row per (pair, time): ready for pandas or gnuplot."""
     yield ("statistic,i,j,time,observed,null_mean,null_std,band_lo,band_hi,"
            "significant\n")
     for r in reports:
@@ -292,20 +281,12 @@ def reports_csv_blocks(reports: Sequence[SignificanceReport]) -> Iterator[str]:
         yield from _rows((r.statistic_name, str(i), str(j)), columns)
 
 
-def reports_csv(reports: Sequence[SignificanceReport]) -> str:
-    """Tidy layout, one row per (pair, time): ready for pandas or gnuplot."""
-    return "".join(reports_csv_blocks(reports))
-
-
 Curve = Tuple[str, Tuple[int, int], np.ndarray, np.ndarray]
 
 
 def curves_csv_blocks(curves: Iterable[Curve]) -> Iterator[str]:
-    """curves_csv a block of rows at a time."""
+    """(statistic, pair, times, values) curves as CSV, a block of rows at a
+    time, in the tidy layout of reports_csv_blocks."""
     yield "statistic,i,j,time,value\n"
     for name, (i, j), times, vals in curves:
         yield from _rows((name, str(i), str(j)), [times, vals])
-
-
-def curves_csv(curves: Iterable[Curve]) -> str:
-    return "".join(curves_csv_blocks(curves))

@@ -335,8 +335,13 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
     # is one, so a batch costs a single copy of its values
     times = a.times
     if cfg.prepend_zero:
-        step = float(np.median(np.diff(times))) if times.size > 1 else 1.0
-        times = np.concatenate([[times[0] - step], times])
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = float(np.median(np.diff(times))) if times.size > 1 else 1.0
+            origin = times[0] - step
+        if not np.isfinite(origin):
+            raise ValueError("cannot prepend the origin sample: the time step "
+                             "overflows float64")
+        times = np.concatenate([[origin], times])
     n = a.n_channels
     values = np.zeros(a.values.shape[:-2] + (times.size, n))
     body = values[..., times.size - a.n_samples:, :]

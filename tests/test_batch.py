@@ -43,7 +43,7 @@ from pathsig import (
     winding_number,
 )
 from pathsig import causality
-from pathsig.io import canonical_json, path_to_csv, reports_artifact
+from pathsig.io import canonical_json, path_csv_blocks, reports_artifact
 
 
 @st.composite
@@ -205,13 +205,13 @@ _NULL = NullModelSpec(replicates=2, seed=1)
         lambda b: granger_var(b, 1, [], 1),
         lambda b: shuffle_channels(b, 7),
         lambda b: shuffle_null(b, lambda p, w: (p.times, p.channel(1)), _NULL),
-        path_to_csv,
+        path_csv_blocks,
     ],
     ids=["signature", "signature_oracle", "lead_matrix", "signed_area",
          "close_path", "winding_number", "signed_area_via_winding",
          "concat-first", "concat-second", "inverse", "reduce_path",
          "one_variation", "reparametrize", "cross_correlation",
-         "granger_var", "shuffle_channels", "shuffle_null", "path_to_csv"],
+         "granger_var", "shuffle_channels", "shuffle_null", "path_csv_blocks"],
 )
 def test_functions_of_one_path_refuse_a_batch(call):
     with pytest.raises(ValueError, match=r"takes one path, not a batch .*"

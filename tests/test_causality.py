@@ -303,6 +303,24 @@ def test_sliding_derivative_constant_stream_windows(rng):
     assert np.allclose(means, centers, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "times, pair, message",
+    [
+        ([0.0], (1, 2), "signature_derivative needs at least 2 samples"),
+        ([0.0, 1.0, 2.5], (1, 5), r"channel 5 outside \[1, 2\]"),
+    ],
+    ids=["one-sample", "bad-channel"],
+)
+def test_sliding_derivative_names_path_faults_before_a_bad_window(
+    times, pair, message
+):
+    """The windows are chosen before the stream integral, but a fault of
+    the path or pair is still named before a window that does not fit."""
+    a = Path(np.array(times), np.ones((len(times), 2)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sliding_signature_derivative(a, pair, WindowSpec(1e9, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # seeds and shuffles
 

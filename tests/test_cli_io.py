@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -30,11 +31,11 @@ from pathsig.io import (
     CsvFormatError,
     _floats,
     canonical_json,
-    curves_csv,
-    lead_matrix_csv,
+    curves_csv_blocks,
+    lead_matrix_csv_blocks,
     load_path_csv,
-    path_to_csv,
-    reports_csv,
+    path_csv_blocks,
+    reports_csv_blocks,
 )
 from conftest import leaf_commands, random_path
 
@@ -176,7 +177,7 @@ def test_block_conversion_accepts_exactly_what_float_accepts(rows):
 
 def test_round_trip_is_bit_exact(rng):
     a = random_path(rng, n_samples=20, n_channels=3, uniform=False)
-    back = load_path_csv(io.StringIO(path_to_csv(a)))
+    back = load_path_csv(io.StringIO("".join(path_csv_blocks(a))))
     assert np.array_equal(back.times, a.times)
     assert np.array_equal(back.values, a.values)
     assert back.channel_names == a.channel_names
@@ -216,7 +217,8 @@ def _csv_paths(draw):
 def test_csv_round_trip_is_bit_exact_on_any_path(a):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        back = load_path_csv(io.BytesIO(path_to_csv(a).encode("utf-8")))
+        text = "".join(path_csv_blocks(a))
+        back = load_path_csv(io.BytesIO(text.encode("utf-8")))
     assert back.times.tobytes() == a.times.tobytes()
     assert back.values.tobytes() == a.values.tobytes()
     assert back.channel_names == a.channel_names
@@ -320,12 +322,12 @@ def _arrays(n, elements=_ANY_FLOATS):
 @settings(max_examples=100, deadline=None)
 @given(_csv_paths())
 def test_path_csv_matches_cell_writer(a):
-    assert path_to_csv(a) == _cell_path_to_csv(a)
+    assert "".join(path_csv_blocks(a)) == _cell_path_to_csv(a)
 
 
 def test_path_csv_matches_cell_writer_across_blocks(rng):
     a = random_path(rng, n_samples=10_000, n_channels=3, uniform=False)
-    assert path_to_csv(a) == _cell_path_to_csv(a)
+    assert "".join(path_csv_blocks(a)) == _cell_path_to_csv(a)
 
 
 @st.composite
@@ -339,7 +341,8 @@ def _lead_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(_lead_matrices())
 def test_lead_matrix_csv_matches_cell_writer(matrix):
-    assert lead_matrix_csv(matrix) == _cell_lead_matrix_csv(matrix)
+    text = "".join(lead_matrix_csv_blocks(matrix))
+    assert text == _cell_lead_matrix_csv(matrix)
 
 
 @st.composite
@@ -368,7 +371,7 @@ def _reports(draw):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_reports(), max_size=3))
 def test_reports_csv_matches_cell_writer(reports):
-    assert reports_csv(reports) == _cell_reports_csv(reports)
+    assert "".join(reports_csv_blocks(reports)) == _cell_reports_csv(reports)
 
 
 _curves = st.integers(0, 5).flatmap(
@@ -384,16 +387,17 @@ _curves = st.integers(0, 5).flatmap(
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_curves, max_size=3))
 def test_curves_csv_matches_cell_writer(curves):
-    assert curves_csv(curves) == _cell_curves_csv(curves)
+    assert "".join(curves_csv_blocks(curves)) == _cell_curves_csv(curves)
 
 
 def test_a_lone_cr_in_a_name_or_statistic_reads_back_as_one_cell():
     matrix = LeadMatrix(("a\rb", "c"), np.array([[0.0, 1.5], [-1.5, 0.0]]))
-    rows = list(csv.reader(io.StringIO(lead_matrix_csv(matrix))))
+    text = "".join(lead_matrix_csv_blocks(matrix))
+    rows = list(csv.reader(io.StringIO(text)))
     assert rows == [["", "a\rb", "c"], ["a\rb", "0", "1.5"], ["c", "-1.5", "0"]]
     times = np.array([0.0, 1.0])
     rows = list(csv.reader(io.StringIO(
-        curves_csv([("x\ry", (1, 2), times, times)])
+        "".join(curves_csv_blocks([("x\ry", (1, 2), times, times)]))
     )))
     assert [r[0] for r in rows] == ["statistic", "x\ry", "x\ry"]
 
@@ -800,6 +804,75 @@ def test_a_time_gap_past_float64_is_not_a_warning(tmp_path, capsys):
     assert json.loads(out)["result"]["A"] == [[0.0, -2.0], [2.0, 0.0]]
     assert err == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# the midpoint of the first gap overflows, so an influence time is inf
+GAP = "time,a,b\n-1e308,0,1\n1e308,1,0\n1.5e308,2,3\n"
+# windows of 8e307 from 0 reach 1.6e308, whose window center overflows
+BIG = "time,a,b\n0,0,1\n8e307,1,0\n1.6e308,2,3\n"
+
+
+@pytest.mark.parametrize("null", [[], _NULL], ids=["curve", "null"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["influence", GAP, "--pairs", "1,2"], "signature_derivative"),
+        (["slidearea", BIG, "--pairs", "1,2", "--window", "8e307", "--stride",
+          "8e307", "--smooth-sigma", "0"], "signed_area"),
+    ],
+    ids=["influence", "slidearea"],
+)
+def test_a_curve_time_that_overflows_is_a_named_config_error(
+    argv, name, fmt, null, tmp_path, capsys
+):
+    """Window or midpoint times past float64 end the run, with or without a
+    null: one line naming the pair, no warning and no artifact."""
+    files = {GAP: write_csv(tmp_path, "gap.csv", body=GAP),
+             BIG: write_csv(tmp_path, "big.csv", body=BIG)}
+    out_file = tmp_path / "out"
+    argv = [files.get(a, a) for a in argv] + null + [
+        "--format", fmt, "-o", str(out_file)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"pathsig: config error: the {name} curve of pair 1,2 "
+                   "is not finite\n")
+    assert caught == []
+    assert not out_file.exists()
+
+
+def test_prepending_the_origin_past_float64_is_one_line(tmp_path, capsys):
+    gap = write_csv(tmp_path, "gap.csv", body=GAP)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["leadmatrix", gap, "--prepend-zero"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("pathsig: config error: cannot prepend the origin sample: "
+                   "the time step overflows float64\n")
+    assert caught == []
+
+
+def test_a_refused_influence_window_does_not_warn_first(tmp_path, capsys):
+    """The windows are chosen before the stream integral, which warns when
+    channel 1 does not start at 0, so a refused window is the one line."""
+    t = np.cumsum(1.0 + 0.5 * np.sin(np.arange(200.0)))
+    body = "t,a,b\n" + "".join(
+        f"{x!r},{2.0 + math.sin(x)!r},{math.cos(x)!r}\n" for x in t.tolist())
+    f = write_csv(tmp_path, "nu.csv", body=body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["influence", f, "--pairs", "1,2", "--window", "5",
+                     "--stride", "1e-12"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("pathsig: config error: stride 1e-12 gives ")
+    assert err.endswith(" windows, over the cap of 2097152\n")
+    assert err.count("\n") == 1
+    assert caught == []
 
 
 @pytest.mark.parametrize(
@@ -1400,7 +1473,7 @@ def test_reading_a_csv_peaks_below_three_times_its_array(tmp_path, rng):
     """The reader converts a block of rows per numpy call, so no list of
     every row's cells or floats is built next to the parsed array."""
     a = random_path(rng, n_samples=10_000, n_channels=20, uniform=False)
-    f = write_csv(tmp_path, body=path_to_csv(a))
+    f = write_csv(tmp_path, body="".join(path_csv_blocks(a)))
     load_path_csv(f)
     tracemalloc.start()
     try:
@@ -1445,7 +1518,7 @@ def test_a_multi_block_gen_is_the_same_through_a_file_and_stdout(
     tmp_path, capfdbinary
 ):
     """10,000 rows are written as three blocks; both outputs carry the
-    meta lines and then exactly path_to_csv's text."""
+    meta lines and then exactly path_csv_blocks' text."""
     argv = ["gen", "cyclic", "--samples", "10000", "--noise", "0.05",
             "--seed", "3"]
     out = tmp_path / "gen.csv"
@@ -1458,7 +1531,7 @@ def test_a_multi_block_gen_is_the_same_through_a_file_and_stdout(
         b"# kind", b"# version", b"# seed", b"# config"
     ]
     a = cyclic_pair(samples=10000, noise_sigma=0.05, seed=3)
-    assert body == path_to_csv(a).encode("utf-8")
+    assert body == "".join(path_csv_blocks(a)).encode("utf-8")
 
 
 def test_output_file_matches_stdout(tmp_path, capfdbinary):

@@ -19,7 +19,7 @@ from pathsig import (
     signed_area_via_winding,
     winding_number,
 )
-from pathsig.io import path_to_csv
+from pathsig.io import path_csv_blocks
 from conftest import random_path
 
 
@@ -196,7 +196,7 @@ def test_lead_matrix_bytes_do_not_depend_on_thread_count(tmp_path):
     rng = np.random.default_rng(11)
     values = np.cumsum(rng.normal(size=(10_000, 20)), axis=0)
     big = tmp_path / "big.csv"
-    big.write_text(path_to_csv(Path(np.arange(10_000) * 0.01, values)))
+    big.write_text("".join(path_csv_blocks(Path(np.arange(10_000) * 0.01, values))))
     outs = []
     for threads in ("1", "4"):
         env = dict(os.environ, OMP_NUM_THREADS=threads,

@@ -281,6 +281,20 @@ def test_normalizing_a_range_that_overflows_raises(mode, what):
             preprocess(a, PreprocessConfig(normalize=mode))
 
 
+@pytest.mark.parametrize("times", [[-1e308, 1e308, 1.5e308],
+                                   [-1.7e308, -1e308, 0.0]],
+                         ids=["step", "origin"])
+def test_prepending_an_origin_that_overflows_raises(times):
+    """The median step, or the time one step before the first, is past
+    float64: the origin cannot be prepended, and no numpy warning says so."""
+    a = Path(np.array(times), np.zeros((3, 1)))
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="^cannot prepend the origin "
+                                             "sample: the time step "
+                                             "overflows float64$"):
+            preprocess(a, PreprocessConfig(prepend_zero=True))
+
+
 @pytest.mark.parametrize("normalize", ["none", "per"])
 def test_centering_a_mean_that_overflows_raises(normalize):
     values = np.array([[0.0, 1e308], [1.0, 1e308], [0.0, -1e308]])
