@@ -214,6 +214,14 @@ def _time_windows(a: Path, w: WindowSpec) -> Tuple[np.ndarray, np.ndarray]:
     return ws[keep], np.minimum(we[keep], t_end)
 
 
+def _curve(name: str, pair: Optional[Tuple[int, int]], times, values):
+    """A statistic's (times, values), once every one of them is finite."""
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        of = f" of pair {pair[0]},{pair[1]}" if pair is not None else ""
+        raise ValueError(f"the {name} curve{of} is not finite")
+    return times, values
+
+
 def sliding_signed_area(
     a: Path, pair: Tuple[int, int], w: WindowSpec
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -223,7 +231,8 @@ def sliding_signed_area(
     uniform grid both length and starts snap to the sample grid; otherwise
     the window runs between boundary vertices interpolated at its exact
     start and end times. Either way each window costs O(1) from one prefix
-    sum of the samples' cross terms x dy - y dx.
+    sum of the samples' cross terms x dy - y dx. Raises ValueError("the
+    signed_area curve of pair i,j is not finite") past float64.
     """
     i, j = pair
     x = a.channel(i)
@@ -251,7 +260,7 @@ def sliding_signed_area(
     areas = 0.5 * (core - xs * (ye - ys) + ys * (xe - xs))
     # exactly 0 for a window inside one segment: rounding noise there would
     # be judged against null bands that are exactly 0 too
-    return 0.5 * (ts + te), np.where(hi < lo, 0.0, areas)
+    return _curve("signed_area", pair, 0.5 * (ts + te), np.where(hi < lo, 0.0, areas))
 
 
 def sliding_signature_derivative(
@@ -264,12 +273,13 @@ def sliding_signature_derivative(
     the segments inside the window (on non-uniform grids, segments lying
     entirely inside), stamped at the center of those segments. Window sums
     are differences of the stream integral signature_derivative_integral.
+    Raises ValueError naming the pair when either curve is not finite.
     """
     i, j = pair
     # the faults signature_derivative names (one sample, a bad channel) come
     # before a window's, and the windows before the integral, which can warn
     if w is None or a.n_samples < 2:
-        return signature_derivative(a, i, j)
+        return _curve("signature_derivative", pair, *signature_derivative(a, i, j))
     a.channel(i), a.channel(j)
     dt = _uniform_dt(a)
     if dt is not None:
@@ -287,7 +297,7 @@ def sliding_signature_derivative(
     span = _from_zero(np.cumsum(np.diff(a.times)))
     values = (weighted[..., k2] - weighted[..., k1]) / (span[k2] - span[k1])
     centers = 0.5 * (a.times[k1] + a.times[k2])
-    return centers, values
+    return _curve("signature_derivative", pair, centers, values)
 
 
 # -- shuffle null model -------------------------------------------------------
@@ -361,11 +371,12 @@ def shuffle_null(
     given a batch of R paths it returns (times, values) with values of
     shape (R, W), row r being what one path would give. A statistic that
     returns another shape raises "statistic changed length under
-    shuffling". Raises ValueError when the observed curve or the null's
-    mean, std or bands overflow float64. A replicate can fail where the
-    observed series does not: under centering its mean is a float sum in
-    shuffled order, which can overflow. That error is raised prefixed with
-    "a shuffled replicate failed: ".
+    shuffling". Raises ValueError when an observed time or value overflows
+    float64 (naming pair, if given) or the null's mean, std or bands do.
+    A replicate can fail where the observed series does not: its centering
+    mean is a float sum in shuffled order, and its curve can overflow where
+    the statistic checks its own. That error is raised prefixed with "a
+    shuffled replicate failed: ".
     """
 
     def pipeline(p: Path) -> Tuple[np.ndarray, np.ndarray]:
@@ -374,9 +385,7 @@ def shuffle_null(
         return statistic(p, w)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        times, observed = pipeline(a)
-        if not np.isfinite(observed).all():
-            raise ValueError(f"the {statistic_name} curve is not finite")
+        times, observed = _curve(statistic_name, pair, *pipeline(a))
         if spec.replicates * observed.size > MAX_COEFFICIENTS:
             raise ValueError(
                 f"{spec.replicates} replicates x {observed.size} windows is "
@@ -465,7 +474,8 @@ def cross_correlation(
     the overlap divided by the overlap sample count (so lag 0 with i = j is
     exactly the mean of gamma_i^2, and negative lags are treated
     symmetrically). A positive peak lag means channel j leads channel i by
-    that much. Requires uniform sampling and |max_lag| < duration.
+    that much. Requires uniform sampling and |max_lag| < duration. Raises
+    ValueError("the xcorr curve of pair i,j is not finite") past float64.
     """
     i, j = pair
     x = a.channel(i)
@@ -480,12 +490,9 @@ def cross_correlation(
     lags = np.arange(-d_max, d_max + 1)
     r = np.empty(lags.size)
     for pos, d in enumerate(lags):
-        if d >= 0:
-            s = float(np.dot(x[d:], y[: t - d]))
-        else:
-            s = float(np.dot(x[: t + d], y[-d:]))
-        r[pos] = s / (t - abs(d))
-    return lags * dt, r
+        xs, ys = (x[d:], y[: t - d]) if d >= 0 else (x[: t + d], y[-d:])
+        r[pos] = float(np.dot(xs, ys)) / (t - abs(d))
+    return _curve("xcorr", pair, lags * dt, r)
 
 
 @one_path

@@ -147,6 +147,8 @@ def _bumps(u: np.ndarray, events: Iterable[Event], channels: int,
     around the support are evaluated."""
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0: {noise_sigma}")
+    if noise_sigma > 0 and seed < 0:
+        raise ValueError(f"seed must be >= 0 when noise_sigma > 0, got {seed}")
     values = np.zeros((u.size, channels))
     for ev in events:
         if not 0.0 <= ev.time <= 1.0:

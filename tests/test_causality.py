@@ -577,6 +577,93 @@ def test_xcorr_rejects_bad_lag_and_grid(rng):
 
 
 # ---------------------------------------------------------------------------
+# every pairwise curve is judged by one finiteness rule, which names the pair
+
+# finite samples whose increments and products overflow float64
+HUGE = Path(np.arange(4.0), [[0, 0], [1e308, -1e308], [-1e308, 1e308],
+                             [1e308, -1e308]])
+# the midpoint of the first gap overflows, so an influence time is inf
+GAP = Path(np.array([-1e308, 1e308, 1.5e308]), [[0, 1], [1, 0], [2, 3]])
+# windows of 8e307 from 0 reach 1.6e308, whose window center overflows
+BIG = Path(np.array([0.0, 8e307, 1.6e308]), [[0, 1], [1, 0], [2, 3]])
+# channels rising smoothly to 1.3e154: every window area is finite, but a
+# shuffled copy's jumps of ~1e154 make products past float64
+_u = np.arange(200) / 199
+RISE = Path(np.arange(200.0), 1.3e154 * np.column_stack([_u, _u**2]))
+
+STATISTICS = {
+    "signed_area": sliding_signed_area,
+    "signature_derivative": sliding_signature_derivative,
+    "xcorr": lambda p, pair, w: cross_correlation(p, pair, 1.0),
+}
+_HUGE_WINDOW = WindowSpec(1.0, 1.0)
+_TIME_CASES = [("signed_area", BIG, WindowSpec(8e307, 8e307)),
+               ("signature_derivative", GAP, None)]
+
+
+def _named(name, pair=(1, 2)):
+    of = f" of pair {pair[0]},{pair[1]}" if pair else ""
+    return f"^the {name} curve{of} is not finite$"
+
+
+@pytest.mark.parametrize("name", list(STATISTICS))
+def test_a_curve_whose_values_overflow_names_its_pair(name):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=_named(name)):
+            STATISTICS[name](HUGE, (1, 2), _HUGE_WINDOW)
+
+
+@pytest.mark.parametrize("name, a, w", _TIME_CASES,
+                         ids=["signed_area", "signature_derivative"])
+def test_a_curve_whose_times_overflow_names_its_pair(name, a, w):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=_named(name)):
+            STATISTICS[name](a, (1, 2), w)
+
+
+@pytest.mark.parametrize(
+    "name, a, w",
+    [("signed_area", HUGE, _HUGE_WINDOW),
+     ("signature_derivative", HUGE, _HUGE_WINDOW)] + _TIME_CASES,
+    ids=["signed_area-values", "signature_derivative-values",
+         "signed_area-times", "signature_derivative-times"],
+)
+def test_a_null_whose_observed_curve_overflows_names_its_pair(name, a, w):
+    """Times past float64 raise too, where a report with inf times (which
+    JSON cannot hold) used to be returned."""
+    stat = STATISTICS[name]
+    with pytest.raises(ValueError, match=_named(name)):
+        shuffle_null(a, lambda p, win: stat(p, (1, 2), win),
+                     NullModelSpec(replicates=4, seed=1), w=w,
+                     statistic_name=name, pair=(1, 2))
+
+
+@pytest.mark.filterwarnings("ignore:channel 1 does not start at 0")
+@pytest.mark.parametrize("name", ["signed_area", "signature_derivative"])
+def test_a_replicate_whose_curve_overflows_names_its_pair(name):
+    """The observed curve is finite; a shuffled copy's is not, and the run
+    says so instead of blaming the bands."""
+    stat = STATISTICS[name]
+    w = WindowSpec(20.0, 5.0)
+    stat(RISE, (1, 2), w)
+    with pytest.raises(ValueError, match="^a shuffled replicate failed: "
+                       + _named(name)[1:]):
+        shuffle_null(RISE, lambda p, win: stat(p, (1, 2), win),
+                     NullModelSpec(replicates=20, seed=1), w=w,
+                     statistic_name=name, pair=(1, 2))
+
+
+@pytest.mark.parametrize("pair", [(1, 2), None], ids=["pair", "no-pair"])
+def test_an_opaque_statistic_with_inf_times_is_caught(pair):
+    """shuffle_null judges a statistic that checks nothing by the same rule:
+    the raw stream's times overflow on GAP."""
+    with pytest.raises(ValueError, match=_named("stream", pair)):
+        shuffle_null(GAP, lambda p, w: signature_derivative(p, 1, 2),
+                     NullModelSpec(replicates=4, seed=1),
+                     statistic_name="stream", pair=pair)
+
+
+# ---------------------------------------------------------------------------
 # Granger measure
 
 

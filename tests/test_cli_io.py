@@ -687,11 +687,11 @@ _NULL = ["--replicates", "4", "--seed", "1"]
         (["slidearea", HUGE] + _HUGE_AREA,
          "the signed_area curve of pair 1,2 is not finite"),
         (["slidearea", HUGE] + _HUGE_AREA + _NULL,
-         "the signed_area curve is not finite"),
+         "the signed_area curve of pair 1,2 is not finite"),
         (["influence", HUGE, "--pairs", "1,2"],
          "the signature_derivative curve of pair 1,2 is not finite"),
         (["influence", HUGE, "--pairs", "1,2"] + _NULL,
-         "the signature_derivative curve is not finite"),
+         "the signature_derivative curve of pair 1,2 is not finite"),
         (["xcorr", HUGE, "--pairs", "1,2", "--lags", "1"],
          "the xcorr curve of pair 1,2 is not finite"),
         (["influence", UNIFORM, "--pairs", "1,2", "--window", "0.1",
@@ -789,6 +789,43 @@ def test_a_replicate_that_cannot_be_centered_is_named(tmp_path, capsys):
     assert err == ("pathsig: config error: a shuffled replicate failed: "
                    "cannot center: the mean of channel a is not finite\n")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# channels rising smoothly to 1.3e154: the observed window areas are
+# finite, but a shuffled copy's jumps of ~1e154 overflow a replicate's curve
+RISE = "t,a,b\n" + "".join(
+    f"{k},{1.3e154 * k / 199!r},{1.3e154 * (k / 199) ** 2!r}\n"
+    for k in range(200))
+_RISE_WINDOW = ["--pairs", "1,2", "--window", "20", "--stride", "5"]
+
+
+@pytest.mark.filterwarnings("ignore:channel 1 does not start at 0")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["slidearea", RISE, "--smooth-sigma", "0"] + _RISE_WINDOW, "signed_area"),
+     (["influence", RISE] + _RISE_WINDOW, "signature_derivative")],
+    ids=["slidearea", "influence"],
+)
+def test_a_replicate_whose_curve_overflows_is_named(argv, name, fmt,
+                                                    tmp_path, capsys):
+    """The observed curve is finite, so the run without a null exits 0; a
+    shuffled replicate whose curve overflows ends the null run with one
+    line naming the statistic and the pair, not the bands."""
+    out_file = tmp_path / "out"
+    argv = [write_csv(tmp_path, "rise.csv", body=RISE) if a == RISE else a
+            for a in argv] + ["--format", fmt, "-o", str(out_file)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert main(argv) == 0
+        out_file.unlink()
+        assert main(argv + ["--replicates", "20", "--seed", "1"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("pathsig: config error: a shuffled replicate failed: "
+                   f"the {name} curve of pair 1,2 is not finite\n")
+    assert caught == []
+    assert not out_file.exists()
 
 
 def test_a_time_gap_past_float64_is_not_a_warning(tmp_path, capsys):
@@ -1443,9 +1480,15 @@ def test_a_missing_required_option_is_one_line(command, dest, tmp_path,
          "--warp-power must be finite, got inf"),
         (["slidearea", UNIFORM, "--window", "0.2", "--stride", "0.1",
           "--smooth-sigma", "0"], {"PATHSIG_PAIRS": ""}, "no pairs given"),
+        (["slidearea", UNIFORM, "--window", "0.2", "--stride", "0.1",
+          "--smooth-sigma", "0", "--pairs", "1.5,2"], {},
+         "pair '1.5,2' is not of the form i,j"),
+        (["slidearea", UNIFORM, "--window", "0.2", "--stride", "0.1",
+          "--smooth-sigma", "0"], {"PATHSIG_PAIRS": "1,2;1.5,2"},
+         "pair '1.5,2' is not of the form i,j"),
     ],
     ids=["x0-two", "x0-letters", "thin", "warp-power", "warp-power-nan",
-         "warp-power-inf", "empty-env-pairs"],
+         "warp-power-inf", "empty-env-pairs", "float-pair", "float-env-pair"],
 )
 def test_a_bad_option_is_refused_before_any_handler_runs(argv, env, message,
                                                          monkeypatch, capsys):
@@ -1455,6 +1498,19 @@ def test_a_bad_option_is_refused_before_any_handler_runs(argv, env, message,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"pathsig: config error: {message}\n"
+
+
+@pytest.mark.parametrize("generator, seed", [("events", "-1"), ("cyclic", "-5")])
+def test_a_negative_seed_with_noise_is_one_line(generator, seed, capsys):
+    """A noisy generator names the seed numpy's generator would refuse; a
+    noiseless one never draws, so any seed runs."""
+    argv = ["gen", generator, "--samples", "32", "--seed", seed]
+    assert main(argv + ["--noise", "0.1"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("pathsig: config error: seed must be >= 0 when "
+                   f"noise_sigma > 0, got {seed}\n")
+    assert main(argv) == 0
 
 
 def test_gen_streams_its_csv_a_block_at_a_time(tmp_path):

@@ -273,6 +273,21 @@ def test_non_finite_or_negative_noise_is_rejected(noise):
         )
 
 
+@pytest.mark.parametrize("seed", [-1, -2**70], ids=["-1", "-2**70"])
+def test_a_negative_seed_is_refused_only_with_noise(seed):
+    """The seed is checked beside noise_sigma, before anything is drawn or
+    allocated; noiseless series never draw, so any seed builds them."""
+    match = f"^seed must be >= 0 when noise_sigma > 0, got {seed}$"
+    with pytest.raises(ValueError, match=match):
+        cyclic_pair(samples=32, noise_sigma=0.1, seed=seed)
+    with pytest.raises(ValueError, match=match):
+        three_channel_event_series(
+            default_three_channel_events(), samples=32, noise_sigma=0.1, seed=seed
+        )
+    assert np.array_equal(cyclic_pair(samples=32, seed=seed).values,
+                          cyclic_pair(samples=32).values)
+
+
 # ---------------------------------------------------------------------------
 # the bump builder against evaluating every bump over the whole grid
 
