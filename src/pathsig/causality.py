@@ -222,6 +222,7 @@ def _curve(name: str, pair: Optional[Tuple[int, int]], times, values):
     return times, values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sliding_signed_area(
     a: Path, pair: Tuple[int, int], w: WindowSpec
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -232,7 +233,8 @@ def sliding_signed_area(
     the window runs between boundary vertices interpolated at its exact
     start and end times. Either way each window costs O(1) from one prefix
     sum of the samples' cross terms x dy - y dx. Raises ValueError("the
-    signed_area curve of pair i,j is not finite") past float64.
+    signed_area curve of pair i,j is not finite") past float64, with no
+    numpy warning first.
     """
     i, j = pair
     x = a.channel(i)
@@ -263,6 +265,7 @@ def sliding_signed_area(
     return _curve("signed_area", pair, 0.5 * (ts + te), np.where(hi < lo, 0.0, areas))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sliding_signature_derivative(
     a: Path, pair: Tuple[int, int], w: Optional[WindowSpec] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -273,7 +276,8 @@ def sliding_signature_derivative(
     the segments inside the window (on non-uniform grids, segments lying
     entirely inside), stamped at the center of those segments. Window sums
     are differences of the stream integral signature_derivative_integral.
-    Raises ValueError naming the pair when either curve is not finite.
+    Raises ValueError naming the pair, with no numpy warning first, when
+    either curve is not finite.
     """
     i, j = pair
     # the faults signature_derivative names (one sample, a bad channel) come
@@ -372,7 +376,8 @@ def shuffle_null(
     shape (R, W), row r being what one path would give. A statistic that
     returns another shape raises "statistic changed length under
     shuffling". Raises ValueError when an observed time or value overflows
-    float64 (naming pair, if given) or the null's mean, std or bands do.
+    float64 (naming pair, if given), or names the first of the null's mean,
+    std and bands that does.
     A replicate can fail where the observed series does not: its centering
     mean is a float sum in shuffled order, and its curve can overflow where
     the statistic checks its own. That error is raised prefixed with "a
@@ -413,7 +418,10 @@ def shuffle_null(
             p_lo = 0.5 * math.erfc(spec.band_sigmas / math.sqrt(2.0))
             band_lo = np.quantile(curves, p_lo, axis=0)
             band_hi = np.quantile(curves, 1.0 - p_lo, axis=0)
-    if not np.isfinite([null_mean, null_std, band_lo, band_hi]).all():
+    for what, arr in (("mean", null_mean), ("std", null_std)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"the null {what} is not finite")
+    if not np.isfinite([band_lo, band_hi]).all():
         raise ValueError(
             f"the null bands are not finite at band_sigmas={spec.band_sigmas:g}"
         )
@@ -464,6 +472,7 @@ def _significant_runs(
 
 
 @one_path
+@np.errstate(over="ignore", invalid="ignore")
 def cross_correlation(
     a: Path, pair: Tuple[int, int], max_lag: float
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -475,7 +484,8 @@ def cross_correlation(
     exactly the mean of gamma_i^2, and negative lags are treated
     symmetrically). A positive peak lag means channel j leads channel i by
     that much. Requires uniform sampling and |max_lag| < duration. Raises
-    ValueError("the xcorr curve of pair i,j is not finite") past float64.
+    ValueError("the xcorr curve of pair i,j is not finite") past float64,
+    with no numpy warning first.
     """
     i, j = pair
     x = a.channel(i)
@@ -505,7 +515,9 @@ def granger_var(
     caused channel's residual variances: the full model regresses on lags
     of every channel, the restricted one only on lags of the caused channel
     and the given covariates. Large C means the omitted channels carry
-    predictive information about the caused channel.
+    predictive information about the caused channel. Raises ValueError
+    when the full model's design matrix, (T - order) x (N*order + 1),
+    holds more than MAX_COEFFICIENTS cells.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -522,6 +534,12 @@ def granger_var(
         raise ValueError(
             f"need more than {n * order + 5} samples for order {order}, "
             f"got {a.n_samples}"
+        )
+    cells = (a.n_samples - order) * (n * order + 1)
+    if cells > MAX_COEFFICIENTS:
+        raise ValueError(
+            f"order {order} needs a design matrix of {cells} cells, "
+            f"over the cap of {MAX_COEFFICIENTS}"
         )
     var_full = _residual_variance(a.values, list(range(1, n + 1)), caused, order)
     var_restricted = _residual_variance(a.values, restricted, caused, order)

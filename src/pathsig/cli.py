@@ -22,6 +22,8 @@ the config block each artifact carries. A handler returns (kind, JSON
 payload thunk, CSV body thunk) and one emitter renders the requested format,
 wrapping JSON with io.artifact and CSV with `# key=value` provenance lines.
 The pairwise commands, slidearea, influence and xcorr, share one handler.
+Start-up loads numpy, path_core, io and cli; each handler imports the
+library modules it calls, so leadmatrix adds leadlag alone and --version none.
 
 The config block is one rule over the command's options, less the output
 path: an artifact must not depend on where it was written. A generator
@@ -50,23 +52,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .causality import (
-    NullModelSpec,
-    WindowSpec,
-    cross_correlation,
-    granger_var,
-    shuffle_null,
-    sliding_signature_derivative,
-    sliding_signed_area,
-)
-from .dynamics import (
-    IntegrationError,
-    LorenzParams,
-    cyclic_pair,
-    default_three_channel_events,
-    lorenz,
-    three_channel_event_series,
-)
 from .io import (
     CsvFormatError,
     artifact,
@@ -78,10 +63,7 @@ from .io import (
     path_csv_blocks,
     reports_csv_blocks,
 )
-from .leadlag import lead_matrix
 from .path_core import Path, PreprocessConfig, preprocess
-from .signature import signature
-from .tensor_algebra import lyndon_words, tensor_log
 
 __all__ = ["ConfigError", "run", "main"]
 
@@ -104,9 +86,10 @@ class ConfigError(ValueError):
 # renders the one the config asks for. The CSV thunk returns the artifact's
 # text as blocks of rows, which _emit encodes and writes one at a time, so
 # no CSV artifact is ever held whole. The command table below names the
-# handlers; library functions are named at call time, never stored in a
-# table, so that rebinding them on this module (as a tracer does) reaches
-# every command.
+# handlers. Each handler imports the library names it calls from their
+# defining modules when it runs, never storing them in a table: a run
+# loads only the modules its command calls, and rebinding a function on
+# its defining module (as a tracer does) reaches every command.
 
 Config = argparse.Namespace  # the parsed options of one run are its config
 Output = Tuple[
@@ -124,6 +107,8 @@ def _prepared(cfg: Config) -> Path:
 
 
 def _cmd_signature(cfg: Config) -> Output:
+    from .signature import signature
+    from .tensor_algebra import lyndon_words, tensor_log
     a = _prepared(cfg)
     result = signature(a, cfg.level if cfg.level is not None else 2)
     if cfg.command == "sig":
@@ -143,6 +128,7 @@ def _cmd_signature(cfg: Config) -> Output:
 
 
 def _cmd_leadmatrix(cfg: Config) -> Output:
+    from .leadlag import lead_matrix
     matrix = lead_matrix(_prepared(cfg))
     return (
         "leadmatrix",
@@ -154,6 +140,9 @@ def _cmd_leadmatrix(cfg: Config) -> Output:
 def _cmd_pairwise(cfg: Config) -> Output:
     """slidearea, influence and xcorr: the command's statistic of each pair
     as a curve, or with --replicates as a shuffle_null report."""
+    from .causality import (NullModelSpec, WindowSpec, cross_correlation,
+                            shuffle_null, sliding_signature_derivative,
+                            sliding_signed_area)
     if cfg.command == "xcorr":
         name, measure, arg = "xcorr", cross_correlation, cfg.lags
     else:
@@ -165,8 +154,7 @@ def _cmd_pairwise(cfg: Config) -> Output:
 
     if not cfg.replicates:
         a = _prepared(cfg)
-        with np.errstate(over="ignore", invalid="ignore"):
-            curves = [(name, pair, *measure(a, pair, arg)) for pair in cfg.pairs]
+        curves = [(name, pair, *measure(a, pair, arg)) for pair in cfg.pairs]
 
         def payload() -> dict:
             return {
@@ -210,6 +198,7 @@ def _cmd_pairwise(cfg: Config) -> Output:
 
 
 def _cmd_granger(cfg: Config) -> Output:
+    from .causality import granger_var
     c = granger_var(_prepared(cfg), cfg.caused, cfg.covariates, cfg.order)
     result = {
         "C": float(c),
@@ -221,6 +210,8 @@ def _cmd_granger(cfg: Config) -> Output:
 
 
 def _cmd_gen(cfg: Config) -> Output:
+    from .dynamics import (LorenzParams, cyclic_pair, default_three_channel_events,
+                           lorenz, three_channel_event_series)
     if cfg.generator == "lorenz":
         a = lorenz(
             LorenzParams(cfg.sigma, cfg.rho, cfg.beta, cfg.x0, cfg.dt, cfg.steps)
@@ -576,7 +567,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"pathsig: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, IntegrationError) as exc:
+    except ValueError as exc:
         print(f"pathsig: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

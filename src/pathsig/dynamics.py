@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 
-class IntegrationError(RuntimeError):
-    """The ODE state left the finite range during integration."""
+class IntegrationError(ValueError, RuntimeError):
+    """The ODE state left the finite range: a bad step size or start."""
 
 
 @dataclass(frozen=True)

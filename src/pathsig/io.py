@@ -17,6 +17,7 @@ import io as _io
 import json
 from typing import (
     IO,
+    TYPE_CHECKING,
     Iterable,
     Iterator,
     List,
@@ -29,10 +30,12 @@ from typing import (
 import numpy as np
 
 from . import __version__
-from .causality import SignificanceReport
-from .dynamics import Event
-from .leadlag import LeadMatrix
 from .path_core import Path, one_path
+
+if TYPE_CHECKING:
+    from .causality import SignificanceReport
+    from .dynamics import Event
+    from .leadlag import LeadMatrix
 
 __all__ = [
     "CsvFormatError",
@@ -211,6 +214,7 @@ def _floats(rows: List[List[str]], lines: List[int]) -> np.ndarray:
 def load_events(source: Source) -> List[Event]:
     """Read a JSON list of events, each item the keyword arguments of one
     Event; a field Event rejects is reported as bad input."""
+    from .dynamics import Event
     with utf8_text(source) as fh:
         try:
             raw = json.load(fh)

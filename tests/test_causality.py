@@ -608,17 +608,15 @@ def _named(name, pair=(1, 2)):
 
 @pytest.mark.parametrize("name", list(STATISTICS))
 def test_a_curve_whose_values_overflow_names_its_pair(name):
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=_named(name)):
-            STATISTICS[name](HUGE, (1, 2), _HUGE_WINDOW)
+    with pytest.raises(ValueError, match=_named(name)):
+        STATISTICS[name](HUGE, (1, 2), _HUGE_WINDOW)
 
 
 @pytest.mark.parametrize("name, a, w", _TIME_CASES,
                          ids=["signed_area", "signature_derivative"])
 def test_a_curve_whose_times_overflow_names_its_pair(name, a, w):
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=_named(name)):
-            STATISTICS[name](a, (1, 2), w)
+    with pytest.raises(ValueError, match=_named(name)):
+        STATISTICS[name](a, (1, 2), w)
 
 
 @pytest.mark.parametrize(
@@ -651,6 +649,24 @@ def test_a_replicate_whose_curve_overflows_names_its_pair(name):
         shuffle_null(RISE, lambda p, win: stat(p, (1, 2), win),
                      NullModelSpec(replicates=20, seed=1), w=w,
                      statistic_name=name, pair=(1, 2))
+
+
+@pytest.mark.parametrize("band_mode", ["gaussian", "quantile"])
+@pytest.mark.parametrize(
+    "column, what",
+    # every replicate of the column is 1e308, so their sum overflows
+    [(np.full(8, 1e308), "mean"),
+     # replicates of +-1e200 have a finite mean and squares past float64
+     (np.tile([1e200, -1e200], 4), "std")],
+    ids=["mean", "std"],
+)
+def test_a_null_whose_mean_or_std_overflows_names_it(column, what, band_mode):
+    """Every replicate curve is finite; the null names the first of its
+    mean and std that is not, in either band mode, not the bands."""
+    a = Path(np.arange(8.0), np.column_stack([column, np.arange(8.0)]))
+    with pytest.raises(ValueError, match=f"^the null {what} is not finite$"):
+        shuffle_null(a, lambda p, w: (p.times, p.values[..., 0]),
+                     NullModelSpec(replicates=20, seed=1, band_mode=band_mode))
 
 
 @pytest.mark.parametrize("pair", [(1, 2), None], ids=["pair", "no-pair"])
@@ -713,6 +729,15 @@ def test_granger_singular_design_raises(rng):
     a = Path(np.arange(200.0), np.column_stack([x, x]))
     with pytest.raises(ValueError, match="singular"):
         granger_var(a, caused=1, covariates=(), order=1)
+
+
+def test_granger_refuses_a_design_over_the_cap(rng):
+    """(T - order) x (N*order + 1) cells, counted on the full model before
+    it is built: 3,000 x 2,001 here, over 2**21."""
+    a = random_path(rng, n_samples=4000, n_channels=2)
+    with pytest.raises(ValueError, match="^order 1000 needs a design matrix of "
+                       "6003000 cells, over the cap of 2097152$"):
+        granger_var(a, caused=2, covariates=(), order=1000)
 
 
 def test_granger_argument_validation(rng):

@@ -828,6 +828,20 @@ def test_a_replicate_whose_curve_overflows_is_named(argv, name, fmt,
     assert not out_file.exists()
 
 
+@pytest.mark.filterwarnings("ignore:channel 1 does not start at 0")
+@pytest.mark.parametrize("band_mode", ["gaussian", "quantile"])
+def test_a_null_mean_that_overflows_is_named(band_mode, tmp_path, capsys):
+    """Pointwise, every replicate's stream is finite but their mean is not:
+    the run names the mean, not band_sigmas, which quantile bands do not
+    use."""
+    argv = ["influence", write_csv(tmp_path, "rise.csv", body=RISE), "--pairs",
+            "1,2", "--replicates", "20", "--seed", "1", "--band-mode", band_mode]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "pathsig: config error: the null mean is not finite\n"
+
+
 def test_a_time_gap_past_float64_is_not_a_warning(tmp_path, capsys):
     """Times whose gaps overflow float64 are still increasing: the run
     succeeds with no numpy warning, and the grid is not uniform."""
@@ -1030,6 +1044,20 @@ def test_granger_artifact(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["C"] > 0.5
     assert doc["config"]["caused"] == 2
+
+
+def test_a_granger_design_over_the_cap_is_one_line(tmp_path, capsys):
+    """On 4,000 rows of 2 channels, --order 1000 asks for a 3,000 x 2,001
+    design matrix: refused before it is built, where it used to take
+    seconds and ~170 MB."""
+    f = str(tmp_path / "cyclic.csv")
+    assert main(["gen", "cyclic", "--samples", "4000", "--noise", "0.1",
+                 "--seed", "1", "-o", f]) == 0
+    assert main(["granger", f, "--caused", "2", "--order", "1000"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("pathsig: config error: order 1000 needs a design matrix "
+                   "of 6003000 cells, over the cap of 2097152\n")
 
 
 def test_gen_lorenz_round_trips_through_loader(tmp_path):
