@@ -1,8 +1,9 @@
 """Path-signature tools for lead-lag and influence analysis of time series.
 
 The package exports each _MODULES module's __all__, imported on the first
-use of an exported name or of __all__, so `import pathsig.cli` loads only
-what its command calls. pathsig.signature is the function, never the module.
+use of an exported name, of __all__ or of dir(), so `import pathsig.cli`
+loads only what its command calls. pathsig.signature is the function,
+never the module.
 """
 
 import importlib
@@ -23,6 +24,10 @@ class _Package(types.ModuleType):
             vars(self).update((n, getattr(module, n)) for n in module.__all__)
         self.__all__ = ["__version__"] + [n for m in modules for n in m.__all__]
         return getattr(self, name)
+
+    def __dir__(self):
+        self.__all__  # the first use of __all__ binds the exports
+        return super().__dir__()
 
     def __setattr__(self, name: str, value) -> None:
         # the import system binds each submodule on its package; the

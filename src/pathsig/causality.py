@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._pcg64 import generators
 from .path_core import MAX_COEFFICIENTS, Path, PreprocessConfig, one_path
 from .path_core import preprocess
 from .signature import signature_derivative
@@ -314,7 +315,8 @@ def mix_seed(seed: int, replicate: int) -> int:
     """SplitMix64 mix of (seed, replicate) -> the replicate's own 64-bit seed.
 
     A fixed bijective finalizer, so replicate seeds are reproducible and
-    order-independent: replicates may run in any schedule.
+    order-independent: replicates may run in any schedule. A replicate's
+    generator is seeded exactly as np.random.PCG64(mix_seed(seed, r)) is.
     """
     x = (int(seed) + (replicate + 1) * _GOLDEN64) & _MASK64
     x ^= x >> 30
@@ -330,15 +332,22 @@ def mix_seed(seed: int, replicate: int) -> int:
 _CHUNK_VALUES = 1 << 16
 
 
-def _shuffled(values: np.ndarray, derived_seeds: Sequence[int]) -> np.ndarray:
-    """One (T, N) copy of values per seed, each channel permuted by that
-    seed's generator in channel order: shape (len(derived_seeds), T, N).
+def _permuted(values: np.ndarray, rngs: Iterator[np.random.Generator],
+              count: int) -> np.ndarray:
+    """count (T, N) copies of values, copy k with each channel permuted by
+    the kth generator taken from rngs: shape (count, T, N).
     Generator.permuted along time takes each channel's draws in turn, as
     rng.permutation(T) would: copy k holds values[rng.permutation(T), c]."""
-    out = np.empty((len(derived_seeds),) + values.shape)
-    for k, seed in enumerate(derived_seeds):
-        np.random.Generator(np.random.PCG64(seed)).permuted(values, axis=0, out=out[k])
+    out = np.empty((count,) + values.shape)
+    for copy, rng in zip(out, rngs):  # out first: takes count generators
+        rng.permuted(values, axis=0, out=copy)
     return out
+
+
+def _shuffled(values: np.ndarray, derived_seeds: Sequence[int]) -> np.ndarray:
+    """One (T, N) copy of values per seed, each channel permuted by that
+    seed's generator: shape (len(derived_seeds), T, N)."""
+    return _permuted(values, generators(derived_seeds), len(derived_seeds))
 
 
 @one_path
@@ -365,8 +374,10 @@ def shuffle_null(
 
     The shuffle acts on the raw samples of a; each replicate then passes
     through the identical pipeline (preprocessing, including smoothing, then
-    the statistic over windows w). Replicate r draws its own generator from
-    mix_seed(spec.seed, r), as shuffle_channels does, and curves are
+    the statistic over windows w). Replicate r's generator is seeded
+    exactly as np.random.PCG64(mix_seed(spec.seed, r)) would be, as
+    shuffle_channels does; one reused generator takes each replicate's
+    state, derived for many replicates in one vectorised pass. Curves are
     reduced with numpy's pairwise mean/std, so the report is a pure
     function of (input, spec) regardless of execution schedule.
 
@@ -398,11 +409,11 @@ def shuffle_null(
             )
         curves = np.empty((spec.replicates, observed.size))
         chunk = max(1, _CHUNK_VALUES // a.values.size)
+        rngs = generators(mix_seed(spec.seed, r) for r in range(spec.replicates))
         for r0 in range(0, spec.replicates, chunk):
             r1 = min(r0 + chunk, spec.replicates)
-            seeds = [mix_seed(spec.seed, r) for r in range(r0, r1)]
             try:
-                _, batch = pipeline(a.with_values(_shuffled(a.values, seeds)))
+                _, batch = pipeline(a.with_values(_permuted(a.values, rngs, r1 - r0)))
             except ValueError as e:
                 raise ValueError(f"a shuffled replicate failed: {e}") from e
             if np.shape(batch) != (r1 - r0, observed.size):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +66,10 @@ def _check_samples(samples: int) -> None:
         )
 
 
+#: RK4 steps between two checks that the state is finite
+_BLOCK_STEPS = 4096
+
+
 def lorenz(params: LorenzParams = LorenzParams()) -> Path:
     """Integrate x' = sigma(y-x), y' = x(rho-z) - y, z' = xy - beta z.
 
@@ -77,7 +81,11 @@ def lorenz(params: LorenzParams = LorenzParams()) -> Path:
     s + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), so trajectories are bit
     identical to that form. Rows are appended to a flat double buffer that
     the returned path wraps without a copy. Divergence to a non-finite
-    state raises IntegrationError naming the step.
+    state raises IntegrationError naming the step. The state is checked
+    once per block of _BLOCK_STEPS steps: each coordinate is updated as
+    x = x + ..., so once non-finite it stays so, and a block that ends
+    non-finite is scanned for its first non-finite row, the step a check
+    after every step would name.
     """
     p = params
     sigma, rho, beta = float(p.sigma), float(p.rho), float(p.beta)
@@ -86,21 +94,27 @@ def lorenz(params: LorenzParams = LorenzParams()) -> Path:
 
     x, y, z = (float(v) for v in p.x0)
     out = array("d", (x, y, z))
+    append = out.append
     finite = math.isfinite
-    for k in range(1, p.steps + 1):
-        a1, b1, c1 = sigma * (y - x), x * (rho - z) - y, x * y - beta * z
-        u, v, w = x + half * a1, y + half * b1, z + half * c1
-        a2, b2, c2 = sigma * (v - u), u * (rho - w) - v, u * v - beta * w
-        u, v, w = x + half * a2, y + half * b2, z + half * c2
-        a3, b3, c3 = sigma * (v - u), u * (rho - w) - v, u * v - beta * w
-        u, v, w = x + dt * a3, y + dt * b3, z + dt * c3
-        a4, b4, c4 = sigma * (v - u), u * (rho - w) - v, u * v - beta * w
-        x = x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        y = y + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        z = z + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    for start in range(1, p.steps + 1, _BLOCK_STEPS):
+        for _ in range(min(_BLOCK_STEPS, p.steps + 1 - start)):
+            a1, b1, c1 = sigma * (y - x), x * (rho - z) - y, x * y - beta * z
+            u, v, w = x + half * a1, y + half * b1, z + half * c1
+            a2, b2, c2 = sigma * (v - u), u * (rho - w) - v, u * v - beta * w
+            u, v, w = x + half * a2, y + half * b2, z + half * c2
+            a3, b3, c3 = sigma * (v - u), u * (rho - w) - v, u * v - beta * w
+            u, v, w = x + dt * a3, y + dt * b3, z + dt * c3
+            a4, b4, c4 = sigma * (v - u), u * (rho - w) - v, u * v - beta * w
+            x = x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            y = y + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            z = z + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            append(x)
+            append(y)
+            append(z)
         if not (finite(x) and finite(y) and finite(z)):
+            rows = np.frombuffer(out).reshape(-1, 3)[start:]
+            k = start + int(np.argmin(np.isfinite(rows).all(axis=1)))
             raise IntegrationError(f"non-finite state at step {k}")
-        out.extend((x, y, z))
     times = np.arange(p.steps + 1) * p.dt
     return Path(times, np.frombuffer(out).reshape(-1, 3), ("x", "y", "z"))
 
@@ -140,31 +154,62 @@ class Event:
             raise ValueError(f"width must be > 0, got {self.width}")
 
 
-def _bumps(u: np.ndarray, events: Iterable[Event], channels: int,
-           noise_sigma: float, seed: int) -> np.ndarray:
-    """The events' bumps at positions u, added in event order, plus noise.
-    A bump adds exactly +-0.0 outside its support, so only the samples
-    around the support are evaluated."""
+def _check_noise(noise_sigma: float, seed: int) -> None:
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0: {noise_sigma}")
     if noise_sigma > 0 and seed < 0:
         raise ValueError(f"seed must be >= 0 when noise_sigma > 0, got {seed}")
+
+
+#: bump samples evaluated in one gathered pass; bounds _bumps' working set
+_GATHER = 1 << 13
+
+
+def _raised_cosine(u: np.ndarray, centre, width) -> np.ndarray:
+    rel = (u - centre) / width
+    return np.where(np.abs(rel) <= 1.0, 0.5 * (1.0 + np.cos(np.pi * rel)), 0.0)
+
+
+def _bumps(u: np.ndarray, bumps: np.ndarray, channels: int,
+           noise_sigma: float, seed: int) -> np.ndarray:
+    """Raised-cosine bumps at positions u, plus seeded noise.
+
+    Each row of bumps is (channel, centre, width, amplitude); the rows are
+    added in order. A bump adds exactly +-0.0 outside its support, so only
+    the samples around each support are evaluated: those of consecutive
+    bumps in one gathered pass of up to _GATHER samples, a larger bump in
+    a pass of its own over slices.
+    """
+    ch, c, w, amp = bumps.T
+    # the support widened by more than the rounding of (u - c) / w and of
+    # the bounds, so that every sample past it is outside; a bound past
+    # float64 is +-inf, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pad = 1e-15 * (np.abs(c) + w)
+        lo = np.searchsorted(u, c - w - pad)
+        counts = np.searchsorted(u, c + w + pad) - lo
+    ends = np.cumsum(counts)
     values = np.zeros((u.size, channels))
-    for ev in events:
-        if not 0.0 <= ev.time <= 1.0:
-            raise ValueError(f"event time {ev.time} outside [0, 1]")
-        w = ev.width
-        for ch, c in ((ev.leader, ev.time), (ev.follower, ev.time + ev.lag)):
-            if not 1 <= ch <= channels:
-                raise ValueError(f"event channel {ch} outside [1, {channels}]")
-            # the support widened by more than the rounding of (u - c) / w
-            # and of the bounds, so that every sample past it is outside
-            pad = 1e-15 * (abs(c) + w)
-            lo, hi = np.searchsorted(u, (c - w - pad, c + w + pad))
-            rel = (u[lo:hi] - c) / w
-            cos = 0.5 * (1.0 + np.cos(np.pi * rel))
-            bump = np.where(np.abs(rel) <= 1.0, cos, 0.0)
-            values[lo:hi, ch - 1] += ev.amplitude * bump
+    flat, column = values.reshape(-1), ch.astype(int) - 1
+    k0 = 0
+    while k0 < c.size:
+        start = ends[k0] - counts[k0]
+        k1 = max(k0 + 1, int(np.searchsorted(ends, start + _GATHER, "right")))
+        if k1 == k0 + 1:
+            rows = slice(lo[k0], lo[k0] + counts[k0])
+            bump = _raised_cosine(u[rows], c[k0], w[k0])
+            values[rows, column[k0]] += amp[k0] * bump
+        else:
+            n = counts[k0:k1]
+            # the sample index of each gathered entry, bump after bump
+            first = lo[k0:k1] - (ends[k0:k1] - n - start)
+            rows = np.arange(n.sum()) + np.repeat(first, n)
+            bump = _raised_cosine(u[rows], np.repeat(c[k0:k1], n),
+                                  np.repeat(w[k0:k1], n))
+            # unbuffered, in entry order: overlapping bumps add in row order
+            np.add.at(flat, rows * channels + np.repeat(column[k0:k1], n),
+                      np.repeat(amp[k0:k1], n) * bump)
+        k0 = k1
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         values = values + rng.normal(0.0, noise_sigma, values.shape)
@@ -203,9 +248,16 @@ def cyclic_pair(
             raise ValueError("warp must be strictly increasing on [0, 1]")
     else:
         u = t
-    events = (Event((k + 0.5) * period, 1, 2, phase_lag * period, period / 4)
-              for k in range(n_events))
-    return Path(t, _bumps(u, events, 2, noise_sigma, seed), ("y1", "y2"))
+    _check_noise(noise_sigma, seed)
+    centres = (np.arange(n_events) + 0.5) * period
+    # per event a leader then a follower bump, as an Event would add them
+    bumps = np.empty((n_events, 2, 4))
+    bumps[..., 0] = (1, 2)
+    bumps[:, 0, 1] = centres
+    bumps[:, 1, 1] = centres + phase_lag * period
+    bumps[..., 2:] = (period / 4, 1.0)
+    values = _bumps(u, bumps.reshape(-1, 4), 2, noise_sigma, seed)
+    return Path(t, values, ("y1", "y2"))
 
 
 def three_channel_event_series(
@@ -222,8 +274,18 @@ def three_channel_event_series(
     pure noise.
     """
     _check_samples(samples)
+    _check_noise(noise_sigma, seed)
+    bumps = []
+    for ev in events:
+        if not 0.0 <= ev.time <= 1.0:
+            raise ValueError(f"event time {ev.time} outside [0, 1]")
+        for ch, c in ((ev.leader, ev.time), (ev.follower, ev.time + ev.lag)):
+            if not 1 <= ch <= 3:
+                raise ValueError(f"event channel {ch} outside [1, 3]")
+            bumps.append((ch, c, ev.width, ev.amplitude))
     t = np.linspace(0.0, 1.0, samples)
-    return Path(t, _bumps(t, events, 3, noise_sigma, seed), ("y1", "y2", "y3"))
+    bumps = np.array(bumps, dtype=float).reshape(-1, 4)
+    return Path(t, _bumps(t, bumps, 3, noise_sigma, seed), ("y1", "y2", "y3"))
 
 
 def default_three_channel_events() -> Tuple[Event, Event]:

@@ -42,7 +42,7 @@ from pathsig import (
     three_channel_event_series,
     winding_number,
 )
-from pathsig import causality
+from pathsig import _pcg64, causality
 from pathsig.io import canonical_json, path_csv_blocks, reports_artifact
 
 
@@ -264,6 +264,33 @@ def test_shuffling_short_or_one_channel_series(t, n):
         assert np.array_equal(chunk[k], expected)
         assert np.array_equal(shuffle_channels(a, seed).values, expected)
     assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [[0, 1, 2**32 - 1, 2**32, 2**64 - 1]]
+    + [[mix_seed(seed, r) for r in range(1000)] for seed in (0, 202, 2**63 + 5)],
+    ids=["edges", "mixed-0", "mixed-202", "mixed-2^63+5"],
+)
+def test_replicate_states_are_the_ones_pcg64_starts_from(seeds):
+    """The SeedSequence hash on uint32 arrays and the two LCG steps give
+    each seed the state and increment that np.random.PCG64(seed) holds."""
+    expected = [(g["state"]["state"], g["state"]["inc"])
+                for g in (np.random.PCG64(s).state for s in seeds)]
+    assert _pcg64.states(seeds) == expected
+
+
+def test_a_reseeded_generator_draws_as_a_fresh_one(monkeypatch):
+    """Across seed batches, and after a draw that leaves half a 64-bit
+    word buffered, the reused Generator draws what a fresh one would."""
+    monkeypatch.setattr(_pcg64, "BATCH", 3)
+    def draws(g):
+        return [g.integers(2**32, size=3, dtype=np.uint32).tolist(),
+                g.permutation(7).tolist(), g.random()]
+
+    seeds = [mix_seed(9, r) for r in range(8)]
+    for seed, rng in zip(seeds, _pcg64.generators(seeds)):
+        assert draws(rng) == draws(np.random.Generator(np.random.PCG64(seed)))
 
 
 # acceptance c09: its input, windows and smoothing

@@ -5,14 +5,17 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from array import array
 from typing import Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathsig import dynamics
 from pathsig import (
     Event,
     IntegrationError,
@@ -124,17 +127,51 @@ def _stepped(fn, params):
        # a start scaled far out, or to inf and nan, or a long step diverges
        st.sampled_from([1.0, 1.0, 1.0, 1e100, 1e160, math.inf]),
        st.one_of(st.floats(1e-6, 0.02), st.floats(0.02, 20.0)),
-       st.integers(1, 300))
+       st.integers(1, 300),
+       # blocks of 7 put a divergence inside a later block or at its end
+       st.sampled_from([7, dynamics._BLOCK_STEPS]))
 def test_lorenz_matches_the_field_closure_stepper(sigma, rho, beta, x0, scale,
-                                                  dt, steps):
+                                                  dt, steps, block):
     params = LorenzParams(sigma, rho, beta, tuple(v * scale for v in x0),
                           dt, steps)
     expected = _stepped(reference_lorenz, params)
-    got = _stepped(lambda p: lorenz(p).values, params)
+    with mock.patch.object(dynamics, "_BLOCK_STEPS", block):
+        got = _stepped(lambda p: lorenz(p).values, params)
     if isinstance(expected, str):
         assert got == expected
     else:
         assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "dt, x0, step",
+    [
+        (0.1414685994386673, (1.0, 1.0, 1.0), 7),
+        (0.1401626318693161, (1.0, 1.0, 1.0), 8),
+        (0.13997705280780792, (1.0, 1.0, 1.0), 11),
+        (0.005, (math.inf, 1.0, 1.0), 1),
+        (0.005, (1.0, 1.0, math.nan), 1),
+    ],
+    ids=["end-of-block-1", "start-of-block-2", "inside-block-2",
+         "inf-start", "nan-start"],
+)
+def test_lorenz_in_blocks_of_7_names_the_diverging_step(dt, x0, step):
+    """The step a check after every step names, also when the start row
+    is the non-finite one: step 1, never step 0."""
+    params = LorenzParams(x0=x0, dt=dt, steps=40)
+    message = f"IntegrationError: non-finite state at step {step}"
+    assert _stepped(reference_lorenz, params) == message
+    with mock.patch.object(dynamics, "_BLOCK_STEPS", 7):
+        assert _stepped(lambda p: lorenz(p).values, params) == message
+
+
+def test_lorenz_stops_within_the_block_that_diverges():
+    """2,000,000 steps would take seconds; the run that diverges at step 3
+    stops at the end of its first block."""
+    start = time.perf_counter()
+    with pytest.raises(IntegrationError, match=r"^non-finite state at step 3$"):
+        lorenz(LorenzParams(dt=10.0, steps=2_000_000))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +386,34 @@ _events = st.builds(
 )
 
 
+# samples per gathered pass of bumps: one per pass, small passes, the default
+_GATHERS = st.sampled_from([1, 16, 100, dynamics._GATHER])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(_events, min_size=1, max_size=6),
     st.integers(16, 600),
     _NOISE,
     st.integers(0, 2**32),
+    _GATHERS,
 )
-def test_event_series_matches_full_grid_bumps(events, samples, noise, seed):
-    with np.errstate(all="ignore"):
+def test_event_series_matches_full_grid_bumps(events, samples, noise, seed,
+                                              gather):
+    with np.errstate(all="ignore"), mock.patch.object(dynamics, "_GATHER", gather):
         a = three_channel_event_series(events, samples, noise, seed)
         expected = _full_grid_events(events, samples, noise, seed)
+    assert a.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("lag", [1.7e308, -1.7e308])
+def test_support_bounds_past_float64_do_not_warn(lag):
+    """A centre and width whose support bounds overflow give the full-grid
+    bumps, without a numpy warning (pytest makes one an error)."""
+    events = [Event(0.5, 1, 2, lag=lag, width=1.7e308)]
+    a = three_channel_event_series(events, samples=20)
+    with np.errstate(all="ignore"):
+        expected = _full_grid_events(events, 20, 0.0, 0)
     assert a.values.tobytes() == expected.tobytes()
 
 
@@ -371,12 +425,14 @@ def test_event_series_matches_full_grid_bumps(events, samples, noise, seed):
     st.one_of(st.none(), st.floats(0.2, 5.0)),
     _NOISE,
     st.integers(0, 2**32),
+    _GATHERS,
 )
 def test_cyclic_pair_matches_full_grid_bumps(samples, data, lag, power, noise,
-                                             seed):
+                                             seed, gather):
     n_events = data.draw(st.integers(1, min(samples, 80)))
     warp = None if power is None else (lambda u: u**power)
-    a = cyclic_pair(n_events, lag, warp, samples, noise, seed)
+    with mock.patch.object(dynamics, "_GATHER", gather):
+        a = cyclic_pair(n_events, lag, warp, samples, noise, seed)
     expected = _full_grid_cyclic(n_events, lag, warp, samples, noise, seed)
     assert a.values.tobytes() == expected.tobytes()
 

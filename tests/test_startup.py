@@ -54,7 +54,8 @@ OUT = ["-o", "OUT"]  # the test's output file
         (["sig", UNIFORM] + OUT, 0,
          ["pathsig.signature", "pathsig.tensor_algebra"]),
         (["xcorr", UNIFORM, "--pairs", "1,2", "--lags", "0.1"] + OUT, 0,
-         ["pathsig.causality", "pathsig.signature", "pathsig.tensor_algebra"]),
+         ["pathsig._pcg64", "pathsig.causality", "pathsig.signature",
+          "pathsig.tensor_algebra"]),
     ],
     ids=["version", "help", "config-error", "leadmatrix", "gen-cyclic", "sig",
          "xcorr"],
@@ -99,3 +100,14 @@ def test_pathsig_signature_is_the_function_in_every_import_order(first, loaded,
         "                  star['signature'] is pathsig.signature]))"
     )
     assert seen == [loaded, True, True, True]
+
+
+def test_dir_lists_the_exports_before_their_first_use():
+    listed, loaded = _fresh(
+        f"import json, sys\nimport pathsig\nnames = dir(pathsig)\n"
+        f"print(json.dumps([[n for n in ('lead_matrix', 'signature', "
+        f"'__version__') if n in names], {LOADED}]))"
+    )
+    assert listed == ["lead_matrix", "signature", "__version__"]
+    assert loaded == sorted(["pathsig", "pathsig._pcg64"]
+                            + [f"pathsig.{m}" for m in LIBRARY])
