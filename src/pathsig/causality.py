@@ -344,12 +344,6 @@ def _permuted(values: np.ndarray, rngs: Iterator[np.random.Generator],
     return out
 
 
-def _shuffled(values: np.ndarray, derived_seeds: Sequence[int]) -> np.ndarray:
-    """One (T, N) copy of values per seed, each channel permuted by that
-    seed's generator: shape (len(derived_seeds), T, N)."""
-    return _permuted(values, generators(derived_seeds), len(derived_seeds))
-
-
 @one_path
 def shuffle_channels(a: Path, derived_seed: int) -> Path:
     """Independently permute each channel's samples (Fisher-Yates).
@@ -357,7 +351,8 @@ def shuffle_channels(a: Path, derived_seed: int) -> Path:
     Destroys temporal structure while preserving each channel's value
     multiset; the time grid is untouched.
     """
-    return a.with_values(_shuffled(a.values, [derived_seed])[0])
+    rng = np.random.Generator(np.random.PCG64(derived_seed))
+    return a.with_values(rng.permuted(a.values, axis=0))
 
 
 @one_path

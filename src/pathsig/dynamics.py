@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,59 +161,60 @@ def _check_noise(noise_sigma: float, seed: int) -> None:
         raise ValueError(f"seed must be >= 0 when noise_sigma > 0, got {seed}")
 
 
-#: bump samples evaluated in one gathered pass; bounds _bumps' working set
-_GATHER = 1 << 13
-
-
-def _raised_cosine(u: np.ndarray, centre, width) -> np.ndarray:
-    rel = (u - centre) / width
-    return np.where(np.abs(rel) <= 1.0, 0.5 * (1.0 + np.cos(np.pi * rel)), 0.0)
-
-
-def _bumps(u: np.ndarray, bumps: np.ndarray, channels: int,
-           noise_sigma: float, seed: int) -> np.ndarray:
-    """Raised-cosine bumps at positions u, plus seeded noise.
-
-    Each row of bumps is (channel, centre, width, amplitude); the rows are
-    added in order. A bump adds exactly +-0.0 outside its support, so only
-    the samples around each support are evaluated: those of consecutive
-    bumps in one gathered pass of up to _GATHER samples, a larger bump in
-    a pass of its own over slices.
-    """
-    ch, c, w, amp = bumps.T
-    # the support widened by more than the rounding of (u - c) / w and of
-    # the bounds, so that every sample past it is outside; a bound past
-    # float64 is +-inf, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        pad = 1e-15 * (np.abs(c) + w)
-        lo = np.searchsorted(u, c - w - pad)
-        counts = np.searchsorted(u, c + w + pad) - lo
-    ends = np.cumsum(counts)
-    values = np.zeros((u.size, channels))
-    flat, column = values.reshape(-1), ch.astype(int) - 1
-    k0 = 0
-    while k0 < c.size:
-        start = ends[k0] - counts[k0]
-        k1 = max(k0 + 1, int(np.searchsorted(ends, start + _GATHER, "right")))
-        if k1 == k0 + 1:
-            rows = slice(lo[k0], lo[k0] + counts[k0])
-            bump = _raised_cosine(u[rows], c[k0], w[k0])
-            values[rows, column[k0]] += amp[k0] * bump
-        else:
-            n = counts[k0:k1]
-            # the sample index of each gathered entry, bump after bump
-            first = lo[k0:k1] - (ends[k0:k1] - n - start)
-            rows = np.arange(n.sum()) + np.repeat(first, n)
-            bump = _raised_cosine(u[rows], np.repeat(c[k0:k1], n),
-                                  np.repeat(w[k0:k1], n))
-            # unbuffered, in entry order: overlapping bumps add in row order
-            np.add.at(flat, rows * channels + np.repeat(column[k0:k1], n),
-                      np.repeat(amp[k0:k1], n) * bump)
-        k0 = k1
+def _noisy(values: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         values = values + rng.normal(0.0, noise_sigma, values.shape)
     return values
+
+
+def _bumps(u: np.ndarray, events: Iterable[Event], channels: int,
+           noise_sigma: float, seed: int) -> np.ndarray:
+    """The events' bumps at positions u, added in event order, plus noise.
+    A bump adds exactly +-0.0 outside its support, so only the samples
+    around the support are evaluated."""
+    _check_noise(noise_sigma, seed)
+    values = np.zeros((u.size, channels))
+    for ev in events:
+        if not 0.0 <= ev.time <= 1.0:
+            raise ValueError(f"event time {ev.time} outside [0, 1]")
+        w = ev.width
+        for ch, c in ((ev.leader, ev.time), (ev.follower, ev.time + ev.lag)):
+            if not 1 <= ch <= channels:
+                raise ValueError(f"event channel {ch} outside [1, {channels}]")
+            # the support widened by more than the rounding of (u - c) / w
+            # and of the bounds, so that every sample past it is outside
+            pad = 1e-15 * (abs(c) + w)
+            lo, hi = np.searchsorted(u, (c - w - pad, c + w + pad))
+            rel = (u[lo:hi] - c) / w
+            cos = 0.5 * (1.0 + np.cos(np.pi * rel))
+            bump = np.where(np.abs(rel) <= 1.0, cos, 0.0)
+            values[lo:hi, ch - 1] += ev.amplitude * bump
+    return _noisy(values, noise_sigma, seed)
+
+
+def _bump_train(u: np.ndarray, centres: np.ndarray, width: float,
+                out: np.ndarray) -> None:
+    """Write into out, zero at positions u, the unit bumps of one width at
+    increasing centres whose supports do not overlap, as _bumps would add
+    them: the samples around every support, found as there, are evaluated
+    in one gathered pass."""
+    pad = 1e-15 * (np.abs(centres) + width)
+    lo = np.searchsorted(u, centres - width - pad)
+    counts = np.searchsorted(u, centres + width + pad) - lo
+    # the sample index of each gathered entry, bump after bump; in place,
+    # since the heap keeps the peak of these temporaries
+    rows = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    rows += np.arange(rows.size)
+    rel = u[rows]
+    rel -= np.repeat(centres, counts)
+    rel /= width
+    bump = np.pi * rel
+    np.cos(bump, out=bump)
+    bump += 1.0
+    bump *= 0.5
+    bump[np.abs(rel) > 1.0] = 0.0
+    out[rows] = bump
 
 
 def cyclic_pair(
@@ -249,15 +250,12 @@ def cyclic_pair(
     else:
         u = t
     _check_noise(noise_sigma, seed)
+    # a bump's support is half a period wide, so a channel's never overlap
     centres = (np.arange(n_events) + 0.5) * period
-    # per event a leader then a follower bump, as an Event would add them
-    bumps = np.empty((n_events, 2, 4))
-    bumps[..., 0] = (1, 2)
-    bumps[:, 0, 1] = centres
-    bumps[:, 1, 1] = centres + phase_lag * period
-    bumps[..., 2:] = (period / 4, 1.0)
-    values = _bumps(u, bumps.reshape(-1, 4), 2, noise_sigma, seed)
-    return Path(t, values, ("y1", "y2"))
+    values = np.zeros((samples, 2))
+    _bump_train(u, centres, period / 4, values[:, 0])
+    _bump_train(u, centres + phase_lag * period, period / 4, values[:, 1])
+    return Path(t, _noisy(values, noise_sigma, seed), ("y1", "y2"))
 
 
 def three_channel_event_series(
@@ -274,18 +272,8 @@ def three_channel_event_series(
     pure noise.
     """
     _check_samples(samples)
-    _check_noise(noise_sigma, seed)
-    bumps = []
-    for ev in events:
-        if not 0.0 <= ev.time <= 1.0:
-            raise ValueError(f"event time {ev.time} outside [0, 1]")
-        for ch, c in ((ev.leader, ev.time), (ev.follower, ev.time + ev.lag)):
-            if not 1 <= ch <= 3:
-                raise ValueError(f"event channel {ch} outside [1, 3]")
-            bumps.append((ch, c, ev.width, ev.amplitude))
     t = np.linspace(0.0, 1.0, samples)
-    bumps = np.array(bumps, dtype=float).reshape(-1, 4)
-    return Path(t, _bumps(t, bumps, 3, noise_sigma, seed), ("y1", "y2", "y3"))
+    return Path(t, _bumps(t, events, 3, noise_sigma, seed), ("y1", "y2", "y3"))
 
 
 def default_three_channel_events() -> Tuple[Event, Event]:

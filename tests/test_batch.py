@@ -236,7 +236,7 @@ def test_batched_shuffle_matches_the_per_channel_permutations():
     channel, rng.permutation of the replicate's own generator."""
     values = np.random.default_rng(3).normal(size=(50, 3))
     seeds = [mix_seed(11, r) for r in range(5)]
-    chunk = causality._shuffled(values, seeds)
+    chunk = causality._permuted(values, _pcg64.generators(seeds), len(seeds))
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         expected = np.column_stack(
@@ -254,7 +254,7 @@ def test_shuffling_short_or_one_channel_series(t, n):
     values = np.random.default_rng(4).normal(size=(t, n))
     before = values.copy()
     seeds = [mix_seed(7, r) for r in range(6)]
-    chunk = causality._shuffled(values, seeds)
+    chunk = causality._permuted(values, _pcg64.generators(seeds), len(seeds))
     assert np.array_equal(values, before)
     a = Path(np.arange(float(t)), values)
     for k, seed in enumerate(seeds):

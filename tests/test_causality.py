@@ -361,6 +361,18 @@ def test_shuffle_channels_are_independent(rng):
     assert not np.array_equal(sh.values[:, 0], sh.values[:, 1])
 
 
+def test_shuffle_channels_takes_the_seeds_pcg64_takes(rng):
+    """A seed past 64 bits shuffles as np.random.PCG64 seeded with it
+    does, and a negative seed is refused by PCG64 itself."""
+    a = random_path(rng, n_samples=20, n_channels=2)
+    for seed in (2**64, 2**70 + 3):
+        expected = np.random.Generator(np.random.PCG64(seed)).permuted(
+            a.values, axis=0)
+        assert np.array_equal(shuffle_channels(a, seed).values, expected)
+    with pytest.raises(ValueError, match="non-negative"):
+        shuffle_channels(a, -1)
+
+
 # ---------------------------------------------------------------------------
 # shuffle null model
 

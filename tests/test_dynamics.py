@@ -386,9 +386,6 @@ _events = st.builds(
 )
 
 
-# samples per gathered pass of bumps: one per pass, small passes, the default
-_GATHERS = st.sampled_from([1, 16, 100, dynamics._GATHER])
-
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -396,11 +393,9 @@ _GATHERS = st.sampled_from([1, 16, 100, dynamics._GATHER])
     st.integers(16, 600),
     _NOISE,
     st.integers(0, 2**32),
-    _GATHERS,
 )
-def test_event_series_matches_full_grid_bumps(events, samples, noise, seed,
-                                              gather):
-    with np.errstate(all="ignore"), mock.patch.object(dynamics, "_GATHER", gather):
+def test_event_series_matches_full_grid_bumps(events, samples, noise, seed):
+    with np.errstate(all="ignore"):
         a = three_channel_event_series(events, samples, noise, seed)
         expected = _full_grid_events(events, samples, noise, seed)
     assert a.values.tobytes() == expected.tobytes()
@@ -425,14 +420,12 @@ def test_support_bounds_past_float64_do_not_warn(lag):
     st.one_of(st.none(), st.floats(0.2, 5.0)),
     _NOISE,
     st.integers(0, 2**32),
-    _GATHERS,
 )
 def test_cyclic_pair_matches_full_grid_bumps(samples, data, lag, power, noise,
-                                             seed, gather):
+                                             seed):
     n_events = data.draw(st.integers(1, min(samples, 80)))
     warp = None if power is None else (lambda u: u**power)
-    with mock.patch.object(dynamics, "_GATHER", gather):
-        a = cyclic_pair(n_events, lag, warp, samples, noise, seed)
+    a = cyclic_pair(n_events, lag, warp, samples, noise, seed)
     expected = _full_grid_cyclic(n_events, lag, warp, samples, noise, seed)
     assert a.values.tobytes() == expected.tobytes()
 
