@@ -1,10 +1,11 @@
-"""numpy's PCG64 seeding, for many seeds at once.
+"""Replicate seeds, and numpy's PCG64 seeding for many seeds at once.
 
-np.random.Generator(np.random.PCG64(seed)) takes ~15 us, mostly in
-SeedSequence's hash of the seed. The shuffle null seeds one generator per
-replicate, so here that hash runs on uint32 arrays over a batch of seeds,
-and one Generator takes each resulting state in turn. The states are
-numpy's own, bit for bit (O'Neill 2014 for PCG; numpy's
+mix_seed derives each replicate's seed from the run's seed, and is exported
+by pathsig.causality. np.random.Generator(np.random.PCG64(seed)) takes
+~15 us, mostly in SeedSequence's hash of the seed. The shuffle null seeds
+one generator per replicate, so here that hash runs on uint32 arrays over a
+batch of seeds, and one Generator takes each resulting state in turn. The
+states are numpy's own, bit for bit (O'Neill 2014 for PCG; numpy's
 bit_generator.pyx for SeedSequence).
 """
 
@@ -19,12 +20,30 @@ import numpy as np
 #: ~0.25 ms, and a batch's ~0.5 KB of Python ints per seed stays small
 BATCH = 256
 
-# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier, kept as
-# Python ints: numpy scalars would warn on the wrapping arithmetic
+# SeedSequence's hash constants, PCG64's 128-bit LCG multiplier and
+# SplitMix64's increment, kept as Python ints: numpy scalars would warn on
+# the wrapping arithmetic
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def mix_seed(seed: int, replicate: int) -> int:
+    """SplitMix64 mix of (seed, replicate) -> the replicate's own 64-bit seed.
+
+    A fixed bijective finalizer, so replicate seeds are reproducible and
+    order-independent: replicates may run in any schedule. A replicate's
+    generator is seeded exactly as np.random.PCG64(mix_seed(seed, r)) is.
+    """
+    x = (int(seed) + (replicate + 1) * _GOLDEN64) & _MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    return x
 
 
 def states(seeds: Sequence[int]) -> List[Tuple[int, int]]:

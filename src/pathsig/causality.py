@@ -19,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._pcg64 import generators
+from ._pcg64 import generators, mix_seed
 from .path_core import MAX_COEFFICIENTS, Path, PreprocessConfig, one_path
 from .path_core import preprocess
 from .signature import signature_derivative
@@ -135,10 +135,8 @@ class SignificanceReport:
             "null_std": self.null_std.tolist(),
             "band_lo": self.band_lo.tolist(),
             "band_hi": self.band_hi.tolist(),
-            "significant": [bool(b) for b in self.significant_mask],
-            "runs": [
-                {"start": r.start, "end": r.end, "sign": r.sign} for r in self.runs
-            ],
+            "significant": self.significant_mask.tolist(),
+            "runs": [r._asdict() for r in self.runs],
             "replicates": self.replicates,
             "seed": self.seed,
             "band_sigmas": self.band_sigmas,
@@ -307,26 +305,6 @@ def sliding_signature_derivative(
 
 # -- shuffle null model -------------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN64 = 0x9E3779B97F4A7C15
-
-
-def mix_seed(seed: int, replicate: int) -> int:
-    """SplitMix64 mix of (seed, replicate) -> the replicate's own 64-bit seed.
-
-    A fixed bijective finalizer, so replicate seeds are reproducible and
-    order-independent: replicates may run in any schedule. A replicate's
-    generator is seeded exactly as np.random.PCG64(mix_seed(seed, r)) is.
-    """
-    x = (int(seed) + (replicate + 1) * _GOLDEN64) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 #: float64 values in one chunk of shuffled replicates (14 replicates of
 #: c09's 1500 x 3 samples); bounds the null model's working set
 _CHUNK_VALUES = 1 << 16
@@ -335,12 +313,25 @@ _CHUNK_VALUES = 1 << 16
 def _permuted(values: np.ndarray, rngs: Iterator[np.random.Generator],
               count: int) -> np.ndarray:
     """count (T, N) copies of values, copy k with each channel permuted by
-    the kth generator taken from rngs: shape (count, T, N).
-    Generator.permuted along time takes each channel's draws in turn, as
-    rng.permutation(T) would: copy k holds values[rng.permutation(T), c]."""
-    out = np.empty((count,) + values.shape)
+    the kth generator taken from rngs: shape (count, T, N), a view of a
+    channel-major (count, N, T) array. Generator.permuted along time takes
+    each channel's draws in turn, as rng.permutation(T) would: copy k holds
+    values[rng.permutation(T), c]. values.T is copied unless it is already
+    C-contiguous."""
+    rows = np.ascontiguousarray(values.T)
+    out = np.empty((count,) + rows.shape)
     for copy, rng in zip(out, rngs):  # out first: takes count generators
-        rng.permuted(values, axis=0, out=copy)
+        rng.permuted(rows, axis=1, out=copy)
+    return np.swapaxes(out, 1, 2)
+
+
+def _scatter(values: np.ndarray, width: int, to, src) -> np.ndarray:
+    """A (..., T, width) array that holds column src[k] of values in column
+    to[k], and 0 in the other columns. It copies one column at a time:
+    numpy copies a strided block of a few columns several times slower."""
+    out = np.zeros(values.shape[:-1] + (width,))
+    for k, c in zip(to, src):
+        out[..., k] = values[..., c]
     return out
 
 
@@ -388,11 +379,36 @@ def shuffle_null(
     mean is a float sum in shuffled order, and its curve can overflow where
     the statistic checks its own. That error is raised prefixed with "a
     shuffled replicate failed: ".
+
+    A pair of two channels of a also names the only channels the statistic
+    reads. Every other channel reads 0, in the observed curve and in every
+    replicate alike. So a replicate shuffles the channels only up to the
+    pair's last (its generator is its own, so the draws of later channels
+    would change nothing), and smooths and preprocesses the pair's two
+    only; under normalize="global", whose range couples the channels, it
+    still preprocesses all of them. The observed series is preprocessed
+    whole first, so its errors and warnings are every channel's, as with
+    pair None, where every channel is read. A pair (i, i) zeroes the other
+    channels but shuffles and preprocesses all of them. A pair that names a
+    channel outside [1, N] leaves every channel in, for the statistic to
+    refuse.
     """
+
+    n = a.n_channels
+    # the channels the statistic reads, and those the replicates preprocess;
+    # one channel alone would change the bytes of a batch's centering mean
+    reads = held = range(n)
+    if pair is not None and all(1 <= c <= n for c in pair):
+        reads = sorted({c - 1 for c in pair})
+        if len(reads) == 2 and getattr(preprocess_cfg, "normalize", "") != "global":
+            held = reads
 
     def pipeline(p: Path) -> Tuple[np.ndarray, np.ndarray]:
         if preprocess_cfg is not None:
             p = preprocess(p, preprocess_cfg)
+        if len(reads) < n:  # p holds all n channels, or only those of reads
+            src = reads if p.n_channels == n else range(len(reads))
+            p = Path(p.times, _scatter(p.values, n, reads, src), a.channel_names)
         return statistic(p, w)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -405,10 +421,13 @@ def shuffle_null(
         curves = np.empty((spec.replicates, observed.size))
         chunk = max(1, _CHUNK_VALUES // a.values.size)
         rngs = generators(mix_seed(spec.seed, r) for r in range(spec.replicates))
+        rows = np.ascontiguousarray(a.values[:, :held[-1] + 1].T)
+        names = [a.channel_names[c] for c in held]
         for r0 in range(0, spec.replicates, chunk):
             r1 = min(r0 + chunk, spec.replicates)
             try:
-                _, batch = pipeline(a.with_values(_permuted(a.values, rngs, r1 - r0)))
+                _, batch = pipeline(Path(a.times, _scatter(_permuted(
+                    rows.T, rngs, r1 - r0), len(held), range(len(held)), held), names))
             except ValueError as e:
                 raise ValueError(f"a shuffled replicate failed: {e}") from e
             if np.shape(batch) != (r1 - r0, observed.size):
@@ -433,8 +452,6 @@ def shuffle_null(
         )
     above = observed > band_hi
     below = observed < band_lo
-    mask = above | below
-    runs = _significant_runs(times, above, below, spec.min_run_length)
     return SignificanceReport(
         statistic_name=statistic_name,
         pair=pair,
@@ -444,8 +461,8 @@ def shuffle_null(
         null_std=null_std,
         band_lo=band_lo,
         band_hi=band_hi,
-        significant_mask=mask,
-        runs=runs,
+        significant_mask=above | below,
+        runs=_significant_runs(times, above, below, spec.min_run_length),
         replicates=spec.replicates,
         seed=spec.seed,
         band_sigmas=spec.band_sigmas,

@@ -6,12 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathsig import (
+    LorenzParams,
     NullModelSpec,
     Path,
     PreprocessConfig,
     WindowSpec,
     cross_correlation,
+    default_three_channel_events,
     granger_var,
+    lorenz,
     mix_seed,
     shuffle_channels,
     shuffle_null,
@@ -19,7 +22,9 @@ from pathsig import (
     signature_derivative,
     sliding_signature_derivative,
     sliding_signed_area,
+    three_channel_event_series,
 )
+from pathsig import causality
 from pathsig.causality import _significant_runs
 from conftest import random_path
 
@@ -689,6 +694,116 @@ def test_an_opaque_statistic_with_inf_times_is_caught(pair):
         shuffle_null(GAP, lambda p, w: signature_derivative(p, 1, 2),
                      NullModelSpec(replicates=4, seed=1),
                      statistic_name="stream", pair=pair)
+
+
+# ---------------------------------------------------------------------------
+# the null shuffles and preprocesses only its pair's channels
+
+
+def _c09():
+    return three_channel_event_series(
+        default_three_channel_events(), samples=1500, noise_sigma=0.05, seed=101)
+
+
+def _c10():
+    traj = lorenz(LorenzParams(dt=0.002, steps=30000))
+    return Path(traj.times[::50], traj.values[::50], traj.channel_names)
+
+
+def _five_channels():
+    """Random walks on five scales, named so that a message shows which."""
+    rng = np.random.default_rng(17)
+    values = np.cumsum(rng.normal(size=(301, 5)), axis=0)
+    return Path(np.linspace(0.0, 1.0, 301), values * [1.0, 1e3, 0.5, 2e-3, 7.0],
+                ("v", "w", "x", "y", "z"))
+
+
+_SERIES = {
+    # series, its pairs, (statistic, window) pairs
+    "c09": (_c09, [(1, 2), (2, 3), (1, 3)],
+            [("signed_area", WindowSpec(0.1, 0.005))]),
+    "c10": (_c10, [(1, 2)], [("signature_derivative", None)]),
+    "five": (_five_channels, [(1, 2), (2, 4), (5, 3), (2, 2)],
+             [("signed_area", WindowSpec(0.1, 0.02)),
+              ("signature_derivative", WindowSpec(0.05, 0.01))]),
+}
+_MODES = {
+    "none": {},
+    "smooth": {"smooth_sigma": 4.0},  # in sample steps
+    "center": {"center": True},
+    "per": {"normalize": "per"},
+    "global": {"normalize": "global"},
+    "prepend_zero": {"prepend_zero": True},
+    "all": {"smooth_sigma": 4.0, "center": True, "normalize": "per",
+            "prepend_zero": True},
+}
+_REPORT_ARRAYS = ("times", "observed", "null_mean", "null_std", "band_lo",
+                  "band_hi", "significant_mask")
+
+
+@pytest.mark.filterwarnings("ignore:channel \\d+ does not start at 0")
+@pytest.mark.parametrize("mode", list(_MODES))
+@pytest.mark.parametrize("series", list(_SERIES))
+def test_a_null_of_a_pair_matches_the_whole_path_pipeline(series, mode):
+    """Shuffling up to the pair's last channel and preprocessing the pair's
+    two gives, bit for bit, the report of the whole path through the
+    pipeline, which pair=None keeps. 30 replicates span chunks of 14 (c09),
+    a partial last chunk, and chunks of other sizes on the other series."""
+    make, pairs, statistics = _SERIES[series]
+    a = make()
+    cfg = dict(_MODES[mode])
+    if "smooth_sigma" in cfg:
+        cfg["smooth_sigma"] *= float(a.times[1] - a.times[0])
+    cfg = PreprocessConfig(**cfg) if cfg else None
+    spec = NullModelSpec(replicates=30, seed=202)
+    for pair in pairs:
+        for name, w in statistics:
+            stat = STATISTICS[name]
+            run = [shuffle_null(a, lambda p, win: stat(p, pair, win), spec, w=w,
+                                preprocess_cfg=cfg, statistic_name=name, pair=given)
+                   for given in (pair, None)]
+            for field in _REPORT_ARRAYS:
+                got, whole = (getattr(r, field) for r in run)
+                assert got.dtype == whole.dtype and got.shape == whole.shape
+                assert got.tobytes() == whole.tobytes(), (pair, name, field)
+            assert run[0].runs == run[1].runs
+
+
+@pytest.mark.parametrize("mode", ["smooth", "center", "global"])
+def test_channels_outside_the_pair_read_zero(mode):
+    """A statistic that reads a channel outside its pair reads 0 there, in
+    the observed curve and in every replicate; its pair reads the pipeline's
+    values."""
+    a = _five_channels()
+    cfg = dict(_MODES[mode])
+    if "smooth_sigma" in cfg:
+        cfg["smooth_sigma"] *= float(a.times[1] - a.times[0])
+    seen = []
+
+    def stat(p, w):
+        seen.append((p.values.shape, [bool(np.any(p.channel(c))) for c in range(1, 6)]))
+        return sliding_signed_area(p, (4, 2), w)
+
+    shuffle_null(a, stat, NullModelSpec(replicates=50, seed=3),
+                 w=WindowSpec(0.1, 0.02), preprocess_cfg=PreprocessConfig(**cfg),
+                 pair=(4, 2))
+    chunk = causality._CHUNK_VALUES // a.values.size
+    assert [shape[:-2] for shape, _ in seen] == (
+        [()] + [(chunk,)] * (50 // chunk) + [(50 % chunk,)] * (50 % chunk > 0))
+    assert all(shape[-1] == 5 for shape, _ in seen)
+    assert all(read == [False, True, False, True, False] for _, read in seen)
+
+
+@pytest.mark.parametrize("pair", [(1, 5), (5, 1), (0, 2)])
+def test_a_pair_outside_the_channels_is_refused_by_the_statistic(pair):
+    """The statistic's own one-line error, as without the pair, not an
+    IndexError from the channel selection."""
+    a = _c09()
+    bad = next(c for c in pair if not 1 <= c <= 3)
+    with pytest.raises(ValueError, match=rf"^channel {bad} outside \[1, 3\]$"):
+        shuffle_null(a, lambda p, w: sliding_signed_area(p, pair, w),
+                     NullModelSpec(replicates=10, seed=1), w=WindowSpec(0.1, 0.05),
+                     preprocess_cfg=PreprocessConfig(smooth_sigma=0.004), pair=pair)
 
 
 # ---------------------------------------------------------------------------

@@ -791,6 +791,20 @@ def test_a_replicate_that_cannot_be_centered_is_named(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("pairs", ["1,5", "5,1"])
+def test_a_null_pair_outside_the_channels_is_one_line(pairs, tmp_path, capsys):
+    """A pair that names a channel past the CSV's exits 5 with the
+    statistic's own line, not an IndexError from the channel selection."""
+    body = "t,a,b,c\n" + "".join(f"{i},{i % 3},{i % 5},{i % 7}\n" for i in range(40))
+    argv = ["slidearea", write_csv(tmp_path, body=body), "--pairs", pairs,
+            "--window", "10", "--stride", "5", "--smooth-sigma", "2",
+            "--replicates", "10", "--seed", "1"]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "pathsig: config error: channel 5 outside [1, 3]\n"
+
+
 # channels rising smoothly to 1.3e154: the observed window areas are
 # finite, but a shuffled copy's jumps of ~1e154 overflow a replicate's curve
 RISE = "t,a,b\n" + "".join(

@@ -395,8 +395,11 @@ _events = st.builds(
     st.integers(0, 2**32),
 )
 def test_event_series_matches_full_grid_bumps(events, samples, noise, seed):
+    """The builder runs outside errstate, so a numpy warning it raises is
+    an error (pytest's RuntimeWarning filter); only the full-grid reference,
+    which evaluates every bump at every sample, is let off."""
+    a = three_channel_event_series(events, samples, noise, seed)
     with np.errstate(all="ignore"):
-        a = three_channel_event_series(events, samples, noise, seed)
         expected = _full_grid_events(events, samples, noise, seed)
     assert a.values.tobytes() == expected.tobytes()
 
