@@ -741,20 +741,25 @@ _REPORT_ARRAYS = ("times", "observed", "null_mean", "null_std", "band_lo",
                   "band_hi", "significant_mask")
 
 
+def _preprocessing(mode, a):
+    """The mode's PreprocessConfig for a, its smoothing in a's sample steps."""
+    cfg = dict(_MODES[mode])
+    if "smooth_sigma" in cfg:
+        cfg["smooth_sigma"] *= float(a.times[1] - a.times[0])
+    return PreprocessConfig(**cfg) if cfg else None
+
+
 @pytest.mark.filterwarnings("ignore:channel \\d+ does not start at 0")
 @pytest.mark.parametrize("mode", list(_MODES))
 @pytest.mark.parametrize("series", list(_SERIES))
 def test_a_null_of_a_pair_matches_the_whole_path_pipeline(series, mode):
     """Shuffling up to the pair's last channel and preprocessing the pair's
     two gives, bit for bit, the report of the whole path through the
-    pipeline, which pair=None keeps. 30 replicates span chunks of 14 (c09),
-    a partial last chunk, and chunks of other sizes on the other series."""
+    pipeline, which pair=None keeps. The 30 replicates run as two chunks of
+    14 and one of 2 on c09, and as one chunk on the other series."""
     make, pairs, statistics = _SERIES[series]
     a = make()
-    cfg = dict(_MODES[mode])
-    if "smooth_sigma" in cfg:
-        cfg["smooth_sigma"] *= float(a.times[1] - a.times[0])
-    cfg = PreprocessConfig(**cfg) if cfg else None
+    cfg = _preprocessing(mode, a)
     spec = NullModelSpec(replicates=30, seed=202)
     for pair in pairs:
         for name, w in statistics:
@@ -772,12 +777,9 @@ def test_a_null_of_a_pair_matches_the_whole_path_pipeline(series, mode):
 @pytest.mark.parametrize("mode", ["smooth", "center", "global"])
 def test_channels_outside_the_pair_read_zero(mode):
     """A statistic that reads a channel outside its pair reads 0 there, in
-    the observed curve and in every replicate; its pair reads the pipeline's
-    values."""
+    the observed curve and in every replicate; the pair's own channels are
+    not 0."""
     a = _five_channels()
-    cfg = dict(_MODES[mode])
-    if "smooth_sigma" in cfg:
-        cfg["smooth_sigma"] *= float(a.times[1] - a.times[0])
     seen = []
 
     def stat(p, w):
@@ -785,7 +787,7 @@ def test_channels_outside_the_pair_read_zero(mode):
         return sliding_signed_area(p, (4, 2), w)
 
     shuffle_null(a, stat, NullModelSpec(replicates=50, seed=3),
-                 w=WindowSpec(0.1, 0.02), preprocess_cfg=PreprocessConfig(**cfg),
+                 w=WindowSpec(0.1, 0.02), preprocess_cfg=_preprocessing(mode, a),
                  pair=(4, 2))
     chunk = causality._CHUNK_VALUES // a.values.size
     assert [shape[:-2] for shape, _ in seen] == (
