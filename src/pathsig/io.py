@@ -6,7 +6,8 @@ rendered with sorted keys and fixed separators, which makes repeated runs
 byte-identical and diffs meaningful. Each CSV artifact has one writer, a
 block iterator (path_csv_blocks, ...), so its whole text is never held; a
 caller that wants one str joins the blocks. The CSV reader likewise
-converts a bounded block of rows per numpy call.
+converts a bounded block of lines per numpy call, by np.loadtxt until it
+refuses one and by the csv module from there; see load_path_csv.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import io as _io
+import itertools
 import json
+import warnings
 from typing import (
     IO,
     TYPE_CHECKING,
@@ -129,6 +132,11 @@ def load_path_csv(source: Source) -> Path:
     Accepts a filename, an open text stream or a binary stream; bytes are
     decoded as strict UTF-8 (see utf8_text). Errors carry 1-based row and
     column positions so a bad cell in a large file can be found directly.
+    np.loadtxt converts each block of lines that it reads cleanly. The
+    first block it refuses (for quotes, comments, ragged or whitespace-only
+    rows, or cells like "1_0" that float() reads and it does not) and all
+    after it go through the csv module: values and messages are the csv
+    path's.
     """
     with utf8_text(source) as text:
         try:
@@ -138,13 +146,10 @@ def load_path_csv(source: Source) -> Path:
 
 
 def _parse_path_csv(source: IO[str]) -> Path:
-    reader = csv.reader(source)
-    header = None
-    for row in reader:
-        if not row or row[0].startswith("#"):
-            continue
-        header = row
-        break
+    lines = iter(source)
+    reader = csv.reader(lines)
+    rows = (row for row in reader if row and not row[0].startswith("#"))
+    header = next(rows, None)
     if header is None:
         raise CsvFormatError("empty CSV: expected a header row")
     if len(header) < 2:
@@ -153,19 +158,60 @@ def _parse_path_csv(source: IO[str]) -> Path:
             f"got {len(header)} column(s)"
         )
     names = tuple(name.strip() for name in header[1:])
-    blocks = list(_data_blocks(reader, len(header)))
+    blocks = list(_text_blocks(lines, len(header), reader.line_num))
     if not blocks:
         raise CsvFormatError("no data rows after the header")
-    data = np.concatenate(blocks)
-    del blocks  # before Path copies the columns out of data
+    times = np.concatenate([b[:, 0] for b in blocks])
+    values = np.concatenate([b[:, 1:] for b in blocks])
     try:
-        return Path(data[:, 0], data[:, 1:], names)
+        return Path(times, values, names)
     except ValueError as exc:
         raise CsvFormatError(str(exc)) from None
 
 
-def _data_blocks(reader, n_cols: int) -> Iterator[np.ndarray]:
-    """The data rows as float arrays of up to _READ_ROWS rows each.
+def _text_blocks(lines, n_cols: int, line_num: int) -> Iterator[np.ndarray]:
+    """The data rows, after line_num lines, as float arrays of up to
+    _READ_ROWS lines each. np.loadtxt converts a block with no '"' and no
+    line over csv.field_size_limit() if it reads n_cols columns from it
+    without raising or warning; csv would split it alike, and loadtxt reads
+    a cell as float() does or refuses it. The first block it refuses and
+    the rest of the input go through the csv path, _data_blocks."""
+    try:
+        while True:
+            block: List[str] = []
+            # extend keeps the lines read before a decoding error
+            block.extend(itertools.islice(lines, _READ_ROWS))
+            if not block:
+                return
+            text = "".join(block)
+            if '"' in text or max(map(len, block)) > csv.field_size_limit():
+                break
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    data = np.loadtxt(block, delimiter=",", comments=None,
+                                      dtype=float, ndmin=2)
+                except (ValueError, Warning):
+                    break
+            if data.shape[1] != n_cols:
+                break
+            line_num += len(block)
+            yield data
+    except UnicodeDecodeError as exc:
+        lines = _raising(exc)
+    reader = csv.reader(itertools.chain(block, lines))
+    yield from _data_blocks(reader, n_cols, line_num)
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """An iterator that raises exc when its first item is asked for."""
+    raise exc
+    yield  # makes this a generator, so the raise waits for next()
+
+
+def _data_blocks(reader, n_cols: int, line_num: int) -> Iterator[np.ndarray]:
+    """The data rows, after line_num lines, as float arrays of up to
+    _READ_ROWS rows each.
 
     The first fault in reading order is the one raised: a bad cell in a row
     above a ragged or unreadable one is reported before it.
@@ -178,11 +224,11 @@ def _data_blocks(reader, n_cols: int) -> Iterator[np.ndarray]:
                 continue
             if len(row) != n_cols:
                 raise CsvFormatError(
-                    f"row {reader.line_num}: expected {n_cols} columns, "
-                    f"got {len(row)}"
+                    f"row {line_num + reader.line_num}: expected {n_cols} "
+                    f"columns, got {len(row)}"
                 )
             block.append(row)
-            lines.append(reader.line_num)
+            lines.append(line_num + reader.line_num)
             if len(block) == _READ_ROWS:
                 yield _floats(block, lines)
                 block, lines = [], []

@@ -11,12 +11,14 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pathsig.io
 from pathsig import LeadMatrix, Path, SignificanceReport, signature
 from pathsig.cli import (
     EXIT_CONFIG,
@@ -36,6 +38,7 @@ from pathsig.io import (
     load_path_csv,
     path_csv_blocks,
     reports_csv_blocks,
+    utf8_text,
 )
 from conftest import leaf_commands, random_path
 
@@ -198,6 +201,233 @@ _NAMES = st.text(
     ),
     max_size=6,
 ).map(str.strip)
+
+
+def test_trailing_blank_lines_load_without_a_warning():
+    """np.loadtxt warns "input contained no data" on a block of blank lines,
+    and the suite errors only on RuntimeWarning: warnings are recorded."""
+    text = "t,a\n0,1\n1,2\n" + "\n" * 600
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        a = load_path_csv(io.StringIO(text))
+    assert [str(w.message) for w in caught] == []
+    assert a.n_samples == 2
+
+
+def test_a_block_of_rows_one_cell_too_wide_names_its_first_row():
+    """np.loadtxt reads a block whose every row has 3 cells without
+    complaint; under a 2-column header its first row is the fault."""
+    wide = {f"r{k}": f"{k},{k},{k}\n" for k in range(512, 1024)}
+    with pytest.raises(CsvFormatError) as exc:
+        load_path_csv(_numbered_csv(1200, **wide))
+    assert str(exc.value) == "row 514: expected 2 columns, got 3"
+
+
+@pytest.mark.parametrize(
+    "row_10, message",
+    [(b"10,x\n", "row 12, column 2: 'x' is not a number"),
+     (b"10,10\n", "not valid UTF-8: byte 0xff (invalid start byte)")],
+    ids=["bad-cell", "clean"],
+)
+@pytest.mark.parametrize("source", ["file", "stream"])
+def test_an_undecodable_byte_past_the_first_8_kb_of_a_block(
+        source, row_10, message, tmp_path):
+    """Text is decoded 8 KB at a time, so the chunk holding row 500's byte
+    fails after the rows of the first 8 KB of the same 512-line block are
+    read. A bad cell in row 10 comes first in reading order; without it the
+    byte is reported, and nothing after it is read."""
+    rows = [b"%d,%.17g\n" % (k, k / 7) for k in range(600)]
+    rows[10] = row_10
+    rows[500] = b"500,\xff\n"
+    body = b"t,a\n" + b"".join(rows)
+    assert body.index(b"\xff") > 8192
+    f = tmp_path / "in.csv"
+    f.write_bytes(body)
+    with pytest.raises(CsvFormatError) as exc:
+        load_path_csv(str(f) if source == "file" else io.BytesIO(body))
+    assert str(exc.value) == message
+
+
+def test_a_clean_file_does_not_reach_the_csv_path(rng, monkeypatch):
+    """Blocks np.loadtxt accepts are not split again by the csv module."""
+    a = random_path(rng, n_samples=2000, n_channels=3, uniform=False)
+    text = "".join(path_csv_blocks(a))
+
+    def csv_path(*args):
+        raise AssertionError("a clean block went through the csv path")
+
+    monkeypatch.setattr(pathsig.io, "_data_blocks", csv_path)
+    back = load_path_csv(io.StringIO(text))
+    assert back.values.tobytes() == a.values.tobytes()
+
+
+# The reader as it was before np.loadtxt took the blocks it accepts: every
+# row split by the csv module and converted by _oracle_floats. It is the
+# oracle of the differential test below.
+
+
+def _oracle_load(source):
+    with utf8_text(source) as text:
+        try:
+            return _oracle_parse(text)
+        except csv.Error as exc:
+            raise CsvFormatError(str(exc)) from None
+
+
+def _oracle_parse(source):
+    reader = csv.reader(source)
+    header = None
+    for row in reader:
+        if not row or row[0].startswith("#"):
+            continue
+        header = row
+        break
+    if header is None:
+        raise CsvFormatError("empty CSV: expected a header row")
+    if len(header) < 2:
+        raise CsvFormatError(
+            "header must have a time column and at least one channel, "
+            f"got {len(header)} column(s)"
+        )
+    names = tuple(name.strip() for name in header[1:])
+    blocks = list(_oracle_blocks(reader, len(header)))
+    if not blocks:
+        raise CsvFormatError("no data rows after the header")
+    data = np.concatenate(blocks)
+    try:
+        return Path(data[:, 0], data[:, 1:], names)
+    except ValueError as exc:
+        raise CsvFormatError(str(exc)) from None
+
+
+def _oracle_blocks(reader, n_cols):
+    block, lines = [], []
+    try:
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            if len(row) != n_cols:
+                raise CsvFormatError(
+                    f"row {reader.line_num}: expected {n_cols} columns, "
+                    f"got {len(row)}"
+                )
+            block.append(row)
+            lines.append(reader.line_num)
+            if len(block) == 3:
+                yield _oracle_floats(block, lines)
+                block, lines = [], []
+    except (CsvFormatError, csv.Error, UnicodeDecodeError):
+        _oracle_floats(block, lines)
+        raise
+    if block:
+        yield _oracle_floats(block, lines)
+
+
+def _oracle_floats(rows, lines):
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        for r, row in zip(lines, rows):
+            for c, cell in enumerate(row, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"row {r}, column {c}: {cell!r} is not a number"
+                    ) from None
+        raise
+
+
+_LIMIT = csv.field_size_limit()
+# cells float() reads that np.loadtxt refuses or csv splits otherwise, cells
+# neither reads, and "\udcff", which encodes to the undecodable byte 0xff
+_ODD_CELLS = st.sampled_from([
+    '"1.5"', '"2\n"', '"1,5"', "1_0", "١", " " + "7", "7 ",
+    "\0", "7\0", "inf", "-nan", "Infinity", "", "1e", " 7 ", "0x10",
+    "\udcff", "1" + "0" * (_LIMIT + 8), " " * (_LIMIT - 4) + "7",
+])
+_ENDINGS = st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])
+
+
+@st.composite
+def _loader_texts(draw):
+    """CSV text of clean rows (increasing times, values as repr or %.17g)
+    mixed with quoted cells and fields spanning lines, '#' rows, blank and
+    blank-looking lines, "\\r\\n" and lone "\\r" line ends, odd cells,
+    trailing commas, short rows, runs of rows one cell too wide and fields
+    over csv.field_size_limit()."""
+    n = draw(st.integers(2, 3))
+    value = st.builds(lambda x, f: f(x), _FLOATS,
+                      st.sampled_from([repr, "%.17g".__mod__]))
+    lines = [draw(st.sampled_from(["", "# kind=dataset\n", "\n"]))]
+    lines.append(",".join(["t"] + [f"c{k}" for k in range(1, n)]) + "\n")
+    for k in range(draw(st.integers(0, 12))):
+        cells = [repr(k + draw(st.sampled_from([0.0, 0.25])))]
+        cells += [draw(value) for _ in range(n - 1)]
+        kind = draw(st.sampled_from(
+            ["clean"] * 8 + ["odd", "#", "blank", "comma", "short", "wide",
+                             "cr"]))
+        if kind == "odd":
+            cells[draw(st.integers(0, n - 1))] = draw(_ODD_CELLS)
+        elif kind == "comma":
+            cells.append("")
+        elif kind == "short":
+            cells.pop()
+        elif kind == "wide":
+            cells.append(draw(value))
+            lines += [",".join(cells + [str(k)]) + "\n"] * draw(
+                st.integers(0, 3))
+        row = ",".join(cells)
+        if kind == "#":
+            row = "#" + row
+        elif kind == "blank":
+            row = draw(st.sampled_from(["", " ", "\t", " "]))
+        elif kind == "cr":
+            row = row + "\r" + row
+        lines.append(row + draw(_ENDINGS))
+    text = "".join(lines)
+    return text[:-1] if draw(st.booleans()) else text
+
+
+def _outcome(load, source):
+    """What a loader makes of the source: the arrays and names, bit for
+    bit, or the exception's class and message; and the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            a = load(source)
+            result = (a.times.tobytes(), a.values.tobytes(), a.values.shape,
+                      a.channel_names)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loader_texts(), st.sampled_from([2, 3]))
+# a field over csv.field_size_limit(), and a line over it of shorter fields
+@example("t,a\n0,1\n1,1" + "0" * _LIMIT + "\n", 3)
+@example("t,a\n0,1\n1," + " " * _LIMIT + "1\n", 3)
+@example("t,a\n0,1\n\n\n\n", 3)  # a block of blank lines: loadtxt warns
+def test_the_loader_reads_every_text_as_the_csv_reader_did(
+        tmp_path_factory, text, read_rows):
+    """Through a filename, a binary stream and text streams with universal
+    and with "\\n"-only newlines, in blocks of 2 or 3 lines, so that block
+    boundaries fall everywhere, the loader gives what the csv-only reader
+    gave."""
+    data = text.encode("utf-8", "surrogateescape")
+    f = tmp_path_factory.mktemp("loader") / "in.csv"
+    f.write_bytes(data)
+    sources = [
+        lambda: str(f),
+        lambda: io.BytesIO(data),
+        lambda: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+        lambda: io.StringIO(text),
+    ]
+    with mock.patch.object(pathsig.io, "_READ_ROWS", read_rows):
+        for source in sources:
+            assert _outcome(load_path_csv, source()) == _outcome(
+                _oracle_load, source())
 
 
 @st.composite
