@@ -342,7 +342,7 @@ _LIMIT = csv.field_size_limit()
 # cells float() reads that np.loadtxt refuses or csv splits otherwise, cells
 # neither reads, and "\udcff", which encodes to the undecodable byte 0xff
 _ODD_CELLS = st.sampled_from([
-    '"1.5"', '"2\n"', '"1,5"', "1_0", "١", " " + "7", "7 ",
+    '"1.5"', '"2\n"', '"1,5"', "1_0", "\u0661", "\u20037", "7\xa0",
     "\0", "7\0", "inf", "-nan", "Infinity", "", "1e", " 7 ", "0x10",
     "\udcff", "1" + "0" * (_LIMIT + 8), " " * (_LIMIT - 4) + "7",
 ])
@@ -381,7 +381,7 @@ def _loader_texts(draw):
         if kind == "#":
             row = "#" + row
         elif kind == "blank":
-            row = draw(st.sampled_from(["", " ", "\t", " "]))
+            row = draw(st.sampled_from(["", " ", "\t", "\u2003"]))
         elif kind == "cr":
             row = row + "\r" + row
         lines.append(row + draw(_ENDINGS))
