@@ -170,13 +170,14 @@ def signed_area_via_winding(
 
 @dataclass(frozen=True)
 class LeadMatrix:
-    """Skew-symmetric matrix of pairwise signed areas."""
+    """Skew-symmetric matrix of pairwise signed areas; values is a read-only
+    view, sharing memory with a C-contiguous float64 input."""
 
     channel_names: Tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.values, dtype=float)
+        v = np.ascontiguousarray(self.values, dtype=float).view()
         n = len(self.channel_names)
         if v.shape != (n, n):
             raise ValueError(f"expected ({n}, {n}) matrix, got {v.shape}")

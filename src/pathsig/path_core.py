@@ -51,7 +51,8 @@ class Path:
     values: shape (T, N), row t is the path position at times[t]; or
     (..., T, N), a batch of paths that share times and channel names.
     channel_names: N labels; generated as c1..cN when omitted.
-    Shape and finiteness are checked once for the whole batch.
+    Shape and finiteness are checked once for the whole batch. The arrays
+    are read-only views, sharing memory with a C-contiguous float64 input.
     """
 
     times: np.ndarray
@@ -59,8 +60,8 @@ class Path:
     channel_names: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        t = np.ascontiguousarray(self.times, dtype=float)
-        v = np.ascontiguousarray(self.values, dtype=float)
+        t = np.ascontiguousarray(self.times, dtype=float).view()
+        v = np.ascontiguousarray(self.values, dtype=float).view()
         if t.ndim != 1 or t.size < 1:
             raise ValueError("times must be a 1-d array with at least one sample")
         if v.ndim < 2 or v.shape[-2] != t.size:

@@ -71,7 +71,7 @@ class TruncatedTensor:
 
     ``levels[k]`` is the flat grade-k coefficient array of length
     ``alphabet_size ** k``; ``levels[0]`` holds the single constant term.
-    Instances are immutable; the arrays are marked read-only.
+    Immutable; the arrays are read-only views of C-contiguous float64 input.
     """
 
     alphabet_size: int
@@ -89,7 +89,7 @@ class TruncatedTensor:
             )
         frozen = []
         for k, arr in enumerate(self.levels):
-            a = np.ascontiguousarray(arr, dtype=float)
+            a = np.ascontiguousarray(arr, dtype=float).view()
             if a.shape != (self.alphabet_size**k,):
                 raise ValueError(
                     f"grade {k} must have {self.alphabet_size ** k} entries, "

@@ -42,7 +42,7 @@ from pathsig import (
     three_channel_event_series,
     winding_number,
 )
-from pathsig import _pcg64, causality
+from pathsig import _null, _pcg64
 from pathsig.io import canonical_json, path_csv_blocks, reports_artifact
 
 
@@ -236,7 +236,7 @@ def test_batched_shuffle_matches_the_per_channel_permutations():
     channel, rng.permutation of the replicate's own generator."""
     values = np.random.default_rng(3).normal(size=(50, 3))
     seeds = [mix_seed(11, r) for r in range(5)]
-    chunk = causality._permuted(values, _pcg64.generators(seeds), len(seeds))
+    chunk = _null._permuted(values, _pcg64.generators(seeds), len(seeds))
     for k, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         expected = np.column_stack(
@@ -254,7 +254,7 @@ def test_shuffling_short_or_one_channel_series(t, n):
     values = np.random.default_rng(4).normal(size=(t, n))
     before = values.copy()
     seeds = [mix_seed(7, r) for r in range(6)]
-    chunk = causality._permuted(values, _pcg64.generators(seeds), len(seeds))
+    chunk = _null._permuted(values, _pcg64.generators(seeds), len(seeds))
     assert np.array_equal(values, before)
     a = Path(np.arange(float(t)), values)
     for k, seed in enumerate(seeds):
@@ -322,8 +322,8 @@ def c09_default_chunks():
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
 def test_c09_reports_do_not_depend_on_the_chunk_size(chunk, monkeypatch,
                                                      c09_default_chunks):
-    assert causality._CHUNK_VALUES // (1500 * 3) not in (1, 7)
-    monkeypatch.setattr(causality, "_CHUNK_VALUES", chunk * 1500 * 3)
+    assert _null._CHUNK_VALUES // (1500 * 3) not in (1, 7)
+    monkeypatch.setattr(_null, "_CHUNK_VALUES", chunk * 1500 * 3)
     assert c09_reports() == c09_default_chunks
 
 
@@ -351,7 +351,7 @@ def test_null_memory_is_the_curve_matrix_plus_one_chunk():
     np.std's temporary of the same size, and one chunk's pipeline: a few
     copies of the chunk's _CHUNK_VALUES floats. Ten times the replicates
     adds the two matrices' growth and nothing per chunk."""
-    chunk_bytes = 8 * causality._CHUNK_VALUES
+    chunk_bytes = 8 * _null._CHUNK_VALUES
     matrix = {r: 8 * r * 181 for r in (200, 2000)}
     peak = {r: _null_peak(r) for r in (200, 2000)}
     for r in peak:

@@ -24,8 +24,8 @@ from pathsig import (
     sliding_signed_area,
     three_channel_event_series,
 )
-from pathsig import causality
-from pathsig.causality import _significant_runs
+from pathsig import _null
+from pathsig._null import _significant_runs
 from conftest import random_path
 
 
@@ -789,7 +789,7 @@ def test_channels_outside_the_pair_read_zero(mode):
     shuffle_null(a, stat, NullModelSpec(replicates=50, seed=3),
                  w=WindowSpec(0.1, 0.02), preprocess_cfg=_preprocessing(mode, a),
                  pair=(4, 2))
-    chunk = causality._CHUNK_VALUES // a.values.size
+    chunk = _null._CHUNK_VALUES // a.values.size
     assert [shape[:-2] for shape, _ in seen] == (
         [()] + [(chunk,)] * (50 // chunk) + [(50 % chunk,)] * (50 % chunk > 0))
     assert all(shape[-1] == 5 for shape, _ in seen)

@@ -32,7 +32,8 @@ WINDOW = WindowSpec(11.0, 3.0)  # 17 windows of 11 segments
 REPLICATES = 20_000
 #: two independent random walks: skewed, not centered, unequal scales
 SERIES = np.cumsum(np.random.default_rng(12).normal(size=(T, 2)), axis=0) * [1.0, 3.0]
-PIPELINES = {"raw": None, "smooth-center": PreprocessConfig(smooth_sigma=1.5, center=True)}
+PIPELINES = {"raw": None,
+             "smooth-center": PreprocessConfig(smooth_sigma=1.5, center=True)}
 
 
 def _bilinear_forms(cfg) -> np.ndarray:
@@ -89,11 +90,13 @@ def test_the_null_has_the_exact_permutation_moments(cfg):
     Its std lies within 4 standard errors of the exact std, the error taken
     by the delta method from the replicates' fourth central moment, so
     heavy-tailed windows get the wider margin that their kurtosis needs.
-    The report reduces each replicate the statistic returned, once."""
+    The report reduces each replicate the statistic returned, once, and no
+    two replicates are alike."""
     mean, std = _exact_moments(cfg)
     assert mean.size == 17 and (std > 0).all()
     report, curves = _null(cfg)
     assert curves.shape == (REPLICATES, mean.size)
+    assert np.unique(curves, axis=0).shape == curves.shape
     assert np.allclose(report.null_mean, curves.mean(axis=0), rtol=0, atol=1e-12 * std)
     assert np.allclose(report.null_std, curves.std(axis=0), rtol=1e-12, atol=0)
 

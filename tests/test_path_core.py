@@ -35,6 +35,27 @@ def test_times_must_strictly_increase():
         Path(np.array([1.0, 0.0]), np.zeros((2, 1)))
 
 
+def test_objects_freeze_their_own_view_not_the_callers_array():
+    """Path, TruncatedTensor and LeadMatrix share memory with a C-contiguous
+    float64 input and hold it read-only, while the caller's arrays keep
+    their flags."""
+    from pathsig import LeadMatrix, TruncatedTensor
+
+    times, values = np.linspace(0.0, 1.0, 5), np.zeros((5, 2))
+    grades = (np.ones(1), np.zeros(2))
+    matrix = np.zeros((2, 2))
+    held = [
+        (times, Path(times, values).times),
+        (values, Path(times, values).values),
+        *zip(grades, TruncatedTensor(2, 1, grades).levels),
+        (matrix, LeadMatrix(("a", "b"), matrix).values),
+    ]
+    for given, kept in held:
+        assert given.flags.writeable
+        assert not kept.flags.writeable
+        assert np.shares_memory(given, kept)
+
+
 def test_values_must_be_finite():
     with pytest.raises(ValueError):
         Path(np.array([0.0, 1.0]), np.array([[0.0], [np.nan]]))

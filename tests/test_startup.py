@@ -54,8 +54,8 @@ OUT = ["-o", "OUT"]  # the test's output file
         (["sig", UNIFORM] + OUT, 0,
          ["pathsig.signature", "pathsig.tensor_algebra"]),
         (["xcorr", UNIFORM, "--pairs", "1,2", "--lags", "0.1"] + OUT, 0,
-         ["pathsig._pcg64", "pathsig.causality", "pathsig.signature",
-          "pathsig.tensor_algebra"]),
+         ["pathsig._null", "pathsig._pcg64", "pathsig.causality",
+          "pathsig.signature", "pathsig.tensor_algebra"]),
     ],
     ids=["version", "help", "config-error", "leadmatrix", "gen-cyclic", "sig",
          "xcorr"],
@@ -109,5 +109,13 @@ def test_dir_lists_the_exports_before_their_first_use():
         f"'__version__') if n in names], {LOADED}]))"
     )
     assert listed == ["lead_matrix", "signature", "__version__"]
-    assert loaded == sorted(["pathsig", "pathsig._pcg64"]
+    assert loaded == sorted(["pathsig", "pathsig._null", "pathsig._pcg64"]
                             + [f"pathsig.{m}" for m in LIBRARY])
+
+
+def test_the_null_module_loads_without_the_window_statistics():
+    """pathsig._null does not import pathsig.causality, which re-exports
+    its public names."""
+    loaded = _fresh(
+        f"import json, sys\nimport pathsig._null\nprint(json.dumps({LOADED}))")
+    assert loaded == ["pathsig", "pathsig._null", "pathsig._pcg64", "pathsig.path_core"]
