@@ -257,9 +257,9 @@ def shuffle_null(
     return _report(statistic_name, pair, times, observed, curves, spec)
 
 
-def _report(name: str, pair: Optional[Tuple[int, int]], times: np.ndarray,
-            observed: np.ndarray, curves: np.ndarray, spec: NullModelSpec):
-    """The observed curve judged against the (R, W) replicate curves."""
+def _report(name, pair, times, observed, curves, spec) -> SignificanceReport:
+    """The observed curve of the named statistic and pair, judged against
+    the (R, W) replicate curves under spec."""
     null_mean = curves.mean(axis=0)
     null_std = curves.std(axis=0)
     if spec.band_mode == "gaussian":
