@@ -189,7 +189,7 @@ def shuffle_null(
     a: Path,
     statistic: Statistic,
     spec: NullModelSpec,
-    w: Optional["WindowSpec"] = None,
+    w: Optional[WindowSpec] = None,
     preprocess_cfg: Optional[PreprocessConfig] = None,
     statistic_name: str = "statistic",
     pair: Optional[Tuple[int, int]] = None,

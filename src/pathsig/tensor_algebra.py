@@ -71,7 +71,7 @@ class TruncatedTensor:
 
     ``levels[k]`` is the flat grade-k coefficient array of length
     ``alphabet_size ** k``; ``levels[0]`` holds the single constant term.
-    Immutable; the arrays are read-only views of C-contiguous float64 input.
+    Immutable; its read-only arrays share a C-contiguous float64 input's memory.
     """
 
     alphabet_size: int

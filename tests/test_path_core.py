@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pathsig import (
+    LeadMatrix,
     Path,
     PreprocessConfig,
+    TruncatedTensor,
     concat,
     gaussian_smooth,
     inverse,
@@ -39,8 +41,6 @@ def test_objects_freeze_their_own_view_not_the_callers_array():
     """Path, TruncatedTensor and LeadMatrix share memory with a C-contiguous
     float64 input and hold it read-only, while the caller's arrays keep
     their flags."""
-    from pathsig import LeadMatrix, TruncatedTensor
-
     times, values = np.linspace(0.0, 1.0, 5), np.zeros((5, 2))
     grades = (np.ones(1), np.zeros(2))
     matrix = np.zeros((2, 2))
