@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Tupl
 import numpy as np
 
 from .path_core import MAX_COEFFICIENTS, Path, PreprocessConfig, one_path
-from . import path_core  # bound by the line above, so no export lookup runs
+from . import path_core  # once bound above; unbound, it would load every module
 from ._pcg64 import generators, mix_seed
 
 if TYPE_CHECKING:
