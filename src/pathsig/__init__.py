@@ -2,8 +2,9 @@
 
 The package exports each _MODULES module's __all__, imported on the first
 use of an exported name, of __all__ or of dir(), so `import pathsig.cli`
-loads only what its command calls. pathsig.signature is the function,
-never the module.
+loads only what its command calls. A submodule's name is left to the
+import system, so `from pathsig import leadlag` loads leadlag alone.
+pathsig.signature is the function, never the module.
 """
 
 import importlib
@@ -17,7 +18,8 @@ _MODULES = "tensor_algebra path_core signature leadlag causality dynamics".split
 
 class _Package(types.ModuleType):
     def __getattr__(self, name: str):
-        if "__all__" in vars(self) or name.startswith("_") and name != "__all__":
+        if ("__all__" in vars(self) or name.startswith("_") and name != "__all__"
+                or name in _MODULES + ["io", "cli"] and name != "signature"):
             raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
         modules = [importlib.import_module(f"{__name__}.{m}") for m in _MODULES]
         for module in modules:

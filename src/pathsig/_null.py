@@ -11,9 +11,10 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Tupl
 
 import numpy as np
 
-from .path_core import MAX_COEFFICIENTS, Path, PreprocessConfig, one_path
-from . import path_core  # once bound above; unbound, it would load every module
+from . import path_core
 from ._pcg64 import generators, mix_seed
+from .path_core import (MAX_COEFFICIENTS, ConfigError, Path, PreprocessConfig,
+                        _check, one_path)
 
 if TYPE_CHECKING:
     from .causality import WindowSpec
@@ -41,16 +42,11 @@ class NullModelSpec:
     band_mode: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if self.replicates < 2:
-            raise ValueError("null model needs at least 2 replicates")
-        if self.band_sigmas <= 0:
-            raise ValueError("band_sigmas must be > 0")
-        if not math.isfinite(self.band_sigmas):
-            raise ValueError(f"band_sigmas must be finite, got {self.band_sigmas}")
-        if self.min_run_length < 1:
-            raise ValueError("min_run_length must be >= 1")
+        _check("replicates", self.replicates, 2)
+        _check("band_sigmas", self.band_sigmas, 0, strict=True)
+        _check("min_run_length", self.min_run_length, 1)
         if self.band_mode not in ("gaussian", "quantile"):
-            raise ValueError("band_mode must be 'gaussian' or 'quantile', "
+            raise ConfigError("band_mode must be 'gaussian' or 'quantile', "
                              f"got {self.band_mode!r}")
 
 
@@ -88,7 +84,7 @@ class SignificanceReport:
                      "significant_mask"):
             arr = getattr(self, name)
             if arr.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
+                raise ConfigError(f"{name} must have shape ({n},)")
 
     def to_dict(self) -> dict:
         return {
@@ -114,7 +110,7 @@ def _curve(name: str, pair: Optional[Tuple[int, int]], times, values):
     """A statistic's (times, values), once every one of them is finite."""
     if not (np.isfinite(times).all() and np.isfinite(values).all()):
         of = f" of pair {pair[0]},{pair[1]}" if pair is not None else ""
-        raise ValueError(f"the {name} curve{of} is not finite")
+        raise ConfigError(f"the {name} curve{of} is not finite")
     return times, values
 
 
@@ -180,7 +176,7 @@ def _chunks(a: Path, spec: NullModelSpec, cfg: Optional[PreprocessConfig],
             yield r0, r1, p
             del p  # the next chunk is built without this one
     except ValueError as e:
-        raise ValueError(f"a shuffled replicate failed: {e}") from e
+        raise ConfigError(f"a shuffled replicate failed: {e}") from e
 
 
 @one_path
@@ -208,12 +204,12 @@ def shuffle_null(
     must broadcast: given a batch of R paths it returns (times, values)
     with values of shape (R, W), row r being what one path would give.
     Another shape raises "statistic changed length under shuffling".
-    Raises ValueError when an observed time or value overflows float64
+    Raises ConfigError when an observed time or value overflows float64
     (naming pair, if given), or names the first of the null's mean, std
     and bands that does. A replicate can fail where the observed series
     does not: its centering mean is a float sum in shuffled order, and its
     curve can overflow where the statistic checks its own. That error is
-    raised prefixed with "a shuffled replicate failed: ".
+    raised as a ConfigError prefixed with "a shuffled replicate failed: ".
 
     A pair of two channels of a also names the only channels the statistic
     reads. Every other channel reads 0, in the observed curve and in every
@@ -242,16 +238,16 @@ def shuffle_null(
                                               for c in range(n)]))
     times, observed = _curve(statistic_name, pair, *statistic(p, w))
     if spec.replicates * observed.size > MAX_COEFFICIENTS:
-        raise ValueError(f"{spec.replicates} replicates x {observed.size} windows "
+        raise ConfigError(f"{spec.replicates} replicates x {observed.size} windows "
                          f"is over the cap of {MAX_COEFFICIENTS}")
     curves = np.empty((spec.replicates, observed.size))
     for r0, r1, batch in _chunks(a, spec, preprocess_cfg, reads, held):
         try:
             _, values = statistic(batch, w)
         except ValueError as e:
-            raise ValueError(f"a shuffled replicate failed: {e}") from e
+            raise ConfigError(f"a shuffled replicate failed: {e}") from e
         if np.shape(values) != (r1 - r0, observed.size):
-            raise ValueError("statistic changed length under shuffling")
+            raise ConfigError("statistic changed length under shuffling")
         curves[r0:r1] = values
         del batch  # as _chunks drops it: the next chunk is built without it
     return _report(statistic_name, pair, times, observed, curves, spec)
@@ -272,9 +268,9 @@ def _report(name, pair, times, observed, curves, spec) -> SignificanceReport:
         band_hi = np.quantile(curves, 1.0 - p_lo, axis=0)
     for what, arr in (("mean", null_mean), ("std", null_std)):
         if not np.isfinite(arr).all():
-            raise ValueError(f"the null {what} is not finite")
+            raise ConfigError(f"the null {what} is not finite")
     if not np.isfinite([band_lo, band_hi]).all():
-        raise ValueError("the null bands are not finite at "
+        raise ConfigError("the null bands are not finite at "
                          f"band_sigmas={spec.band_sigmas:g}")
     above = observed > band_hi
     below = observed < band_lo

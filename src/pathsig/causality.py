@@ -22,7 +22,7 @@ import numpy as np
 from ._null import NullModelSpec, Run, SignificanceReport, _curve
 from ._null import shuffle_channels, shuffle_null
 from ._pcg64 import mix_seed
-from .path_core import MAX_COEFFICIENTS, Path, one_path
+from .path_core import MAX_COEFFICIENTS, ConfigError, DataError, Path, _check, one_path
 from .signature import signature_derivative, signature_derivative_integral
 
 __all__ = [
@@ -48,13 +48,8 @@ class WindowSpec:
     stride: float
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError("window length must be > 0")
-        if self.stride <= 0:
-            raise ValueError("window stride must be > 0")
-        for name, value in (("length", self.length), ("stride", self.stride)):
-            if not math.isfinite(value):
-                raise ValueError(f"window {name} must be finite, got {value}")
+        _check("window length", self.length, 0, strict=True)
+        _check("window stride", self.stride, 0, strict=True)
 
 
 # -- window machinery --------------------------------------------------------
@@ -77,9 +72,9 @@ def _index_windows(a: Path, dt: float, w: WindowSpec) -> Tuple[np.ndarray, np.nd
     """
     n_seg = np.rint(w.length / dt)  # a float, so that a huge ratio is inf
     if n_seg < 1:
-        raise ValueError("window is shorter than the sample spacing")
+        raise DataError("window is shorter than the sample spacing")
     if n_seg > a.n_samples - 1:
-        raise ValueError("window is longer than the series")
+        raise DataError("window is longer than the series")
     n_seg = int(n_seg)
     last_start = a.n_samples - 1 - n_seg
     if w.stride < 0.5 * dt:
@@ -113,15 +108,13 @@ def _time_windows(a: Path, w: WindowSpec) -> Tuple[np.ndarray, np.ndarray]:
     tol = 1e-9 * max(1.0, a.duration)
     count = (a.duration + tol - w.length) / w.stride + 1
     if count > MAX_COEFFICIENTS:
-        raise ValueError(
-            f"stride {w.stride:g} gives {count:.3g} windows, "
-            f"over the cap of {MAX_COEFFICIENTS}"
-        )
+        raise ConfigError(f"stride {w.stride:g} gives {count:.3g} windows, "
+                          f"over the cap of {MAX_COEFFICIENTS}")
     ws = float(a.times[0]) + np.arange(int(max(count, 0.0)) + 1) * w.stride
     we = ws + w.length
     keep = we <= t_end + tol
     if not keep.any():
-        raise ValueError("window is longer than the series")
+        raise DataError("window is longer than the series")
     return ws[keep], np.minimum(we[keep], t_end)
 
 
@@ -135,7 +128,7 @@ def sliding_signed_area(
     uniform grid both length and starts snap to the sample grid; otherwise
     the window runs between boundary vertices interpolated at its exact
     start and end times. Either way each window costs O(1) from one prefix
-    sum of the samples' cross terms x dy - y dx. Raises ValueError("the
+    sum of the samples' cross terms x dy - y dx. Raises ConfigError("the
     signed_area curve of pair i,j is not finite") past float64, with no
     numpy warning first.
     """
@@ -179,7 +172,7 @@ def sliding_signature_derivative(
     the segments inside the window (on non-uniform grids, segments lying
     entirely inside), stamped at the center of those segments. Window sums
     are differences of the stream integral signature_derivative_integral.
-    Raises ValueError naming the pair, with no numpy warning first, when
+    Raises ConfigError naming the pair, with no numpy warning first, when
     either curve is not finite.
     """
     i, j = pair
@@ -198,7 +191,7 @@ def sliding_signature_derivative(
         keep = k2 > k1
         k1, k2 = k1[keep], k2[keep]
         if k1.size == 0:
-            raise ValueError("no window contains a full segment")
+            raise DataError("no window contains a full segment")
     _, integral = signature_derivative_integral(a, i, j)
     weighted = _from_zero(integral)
     span = _from_zero(np.cumsum(np.diff(a.times)))
@@ -222,8 +215,8 @@ def cross_correlation(
     the overlap divided by the overlap sample count (so lag 0 with i = j is
     exactly the mean of gamma_i^2, and negative lags are treated
     symmetrically). A positive peak lag means channel j leads channel i by
-    that much. Requires uniform sampling and |max_lag| < duration. Raises
-    ValueError("the xcorr curve of pair i,j is not finite") past float64,
+    that much. Requires uniform sampling and 0 < max_lag < duration. Raises
+    ConfigError("the xcorr curve of pair i,j is not finite") past float64,
     with no numpy warning first.
     """
     i, j = pair
@@ -231,9 +224,11 @@ def cross_correlation(
     y = a.channel(j)
     dt = _uniform_dt(a)
     if dt is None:
-        raise ValueError("cross_correlation requires a uniform time grid")
-    if not 0 < max_lag < a.duration:
-        raise ValueError("max_lag must lie in (0, duration)")
+        raise DataError("cross_correlation requires a uniform time grid")
+    _check("max_lag", max_lag, 0, strict=True)
+    if max_lag >= a.duration:
+        raise DataError(f"max_lag {max_lag:g} is not under the series "
+                        f"duration {a.duration:g}")
     t = x.size
     d_max = int(np.floor(max_lag / dt + 1e-9))
     lags = np.arange(-d_max, d_max + 1)
@@ -254,32 +249,27 @@ def granger_var(
     caused channel's residual variances: the full model regresses on lags
     of every channel, the restricted one only on lags of the caused channel
     and the given covariates. Large C means the omitted channels carry
-    predictive information about the caused channel. Raises ValueError
+    predictive information about the caused channel. Raises ConfigError
     when the full model's design matrix, (T - order) x (N*order + 1),
     holds more than MAX_COEFFICIENTS cells.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check("order", order, 1)
     if _uniform_dt(a) is None:
-        raise ValueError("granger_var requires a uniform time grid")
+        raise DataError("granger_var requires a uniform time grid")
     n = a.n_channels
     a.channel(caused)
     restricted = sorted({caused} | {int(c) for c in covariates})
     for c in restricted:
         a.channel(c)
     if len(restricted) == n:
-        raise ValueError("covariates span all channels; no candidate cause left")
+        raise DataError("covariates span all channels; no candidate cause left")
     if a.n_samples <= n * order + 5:
-        raise ValueError(
-            f"need more than {n * order + 5} samples for order {order}, "
-            f"got {a.n_samples}"
-        )
+        raise DataError(f"need more than {n * order + 5} samples for order "
+                        f"{order}, got {a.n_samples}")
     cells = (a.n_samples - order) * (n * order + 1)
     if cells > MAX_COEFFICIENTS:
-        raise ValueError(
-            f"order {order} needs a design matrix of {cells} cells, "
-            f"over the cap of {MAX_COEFFICIENTS}"
-        )
+        raise ConfigError(f"order {order} needs a design matrix of {cells} "
+                          f"cells, over the cap of {MAX_COEFFICIENTS}")
     var_full = _residual_variance(a.values, list(range(1, n + 1)), caused, order)
     var_restricted = _residual_variance(a.values, restricted, caused, order)
     if var_full == 0.0:
@@ -299,6 +289,6 @@ def _residual_variance(
     target = values[order:, caused - 1]
     beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < design.shape[1]:
-        raise ValueError("singular design matrix in VAR fit")
+        raise DataError("singular design matrix in VAR fit")
     resid = target - design @ beta
     return float(np.var(resid))

@@ -32,12 +32,13 @@ preprocessing as the resolved "preprocess" block, the null-model options
 only with --replicates, and the rest unless None or False.
 
 Exit codes: 0 success, 2 usage (argparse; a flag outside its choices
-included), 3 bad input data (non-UTF-8 bytes and bad event fields
-included), 4 I/O failure, 5 configuration conflict (non-finite window,
-smoothing, band, noise or warp-power values and bad PATHSIG_* values
-included), a size cap (a generated dataset's rows and replicates x windows
-included), a result, curve times, a prepended origin time or a null band
-that overflows float64, or a diverging integration.
+included). main maps an exception to the rest through one table, _EXITS:
+3 for a DataError (the input cannot serve the request: malformed or
+non-UTF-8 bytes, a bad events file, a grid that is not uniform where one
+is needed, a window or lag past the series, too few samples, a channel it
+lacks), 4 for an OSError, and 5 for a ConfigError or any other ValueError
+(a bad option or PATHSIG_* value, a size cap, a result past float64's
+range, a diverging integration).
 """
 
 from __future__ import annotations
@@ -49,11 +50,8 @@ import sys
 from dataclasses import asdict, fields
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import __version__
 from .io import (
-    CsvFormatError,
     artifact,
     canonical_json,
     curves_csv_blocks,
@@ -63,7 +61,8 @@ from .io import (
     path_csv_blocks,
     reports_csv_blocks,
 )
-from .path_core import Path, PreprocessConfig, preprocess
+from .path_core import (ConfigError, DataError, Path, PreprocessConfig, _check,
+                        preprocess)
 
 __all__ = ["ConfigError", "run", "main"]
 
@@ -75,9 +74,13 @@ EXIT_CONFIG = 5
 
 ENV_PREFIX = "PATHSIG_"
 
-
-class ConfigError(ValueError):
-    """Flags, environment overrides, or their combination are invalid."""
+# exception class -> (exit code, message prefix); the first match wins, so
+# a ValueError of neither class (numpy's, say) is a config error
+_EXITS = {
+    DataError: (EXIT_DATA, "bad input"),
+    OSError: (EXIT_IO, "i/o error"),
+    ValueError: (EXIT_CONFIG, "config error"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +173,6 @@ def _cmd_pairwise(cfg: Config) -> Output:
             }
 
         return cfg.command, payload, lambda: curves_csv_blocks(curves)
-    raw = _load_input(cfg)
     spec = NullModelSpec(
         replicates=cfg.replicates,
         seed=cfg.seed,
@@ -178,6 +180,7 @@ def _cmd_pairwise(cfg: Config) -> Output:
         min_run_length=cfg.min_run,
         band_mode=cfg.band_mode,
     )
+    raw = _load_input(cfg)
     reports = [
         shuffle_null(
             raw,
@@ -423,7 +426,7 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    raise ConfigError(f"not a boolean: {raw!r}")
 
 
 def _parse_pairs(raw: str) -> Tuple[Tuple[int, int], ...]:
@@ -432,10 +435,10 @@ def _parse_pairs(raw: str) -> Tuple[Tuple[int, int], ...]:
         try:
             i, j = map(int, tok.split(","))
         except ValueError:
-            raise ValueError(f"pair {tok!r} is not of the form i,j") from None
+            raise ConfigError(f"pair {tok!r} is not of the form i,j") from None
         pairs.append((i, j))
     if not pairs:
-        raise ValueError("no pairs given")
+        raise ConfigError("no pairs given")
     return tuple(pairs)
 
 
@@ -450,7 +453,7 @@ def _from_env(action: argparse.Action, name: str):
             return [cast(tok) for tok in raw.replace(";", " ").split()]
         value = cast(raw)
         if action.choices is not None and value not in action.choices:
-            raise ValueError(f"{value!r} is not one of {action.choices}")
+            raise ConfigError(f"{value!r} is not one of {action.choices}")
         return value
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {name}: {exc}") from None
@@ -483,13 +486,8 @@ def _config_from_args(args: Config) -> Config:
         if len(x0) != 3:
             raise ConfigError("--x0 needs exactly three components")
         args.x0 = x0
-    if given.get("thin", 1) < 1:
-        raise ConfigError("--thin must be >= 1")
-    warp_power = given.get("warp_power", 1.0)
-    if not np.isfinite(warp_power):
-        raise ConfigError(f"--warp-power must be finite, got {warp_power}")
-    if warp_power <= 0:
-        raise ConfigError("--warp-power must be positive")
+    _check("--thin", given.get("thin", 1), 1)
+    _check("--warp-power", given.get("warp_power", 1.0), 0, strict=True)
     if given.get("pairs") is not None:
         args.pairs = _parse_pairs(" ".join(args.pairs))
     if given.keys() >= set(_PREPROCESS):
@@ -561,15 +559,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run(_config_from_args(_parse_args(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except CsvFormatError as exc:
-        print(f"pathsig: bad input: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"pathsig: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"pathsig: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(_EXITS) as exc:
+        code, prefix = next(v for cls, v in _EXITS.items() if isinstance(exc, cls))
+        print(f"pathsig: {prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .path_core import MAX_COEFFICIENTS, Path
+from .path_core import MAX_COEFFICIENTS, ConfigError, DataError, Path, _check
 
 __all__ = [
     "IntegrationError",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class IntegrationError(ValueError, RuntimeError):
+class IntegrationError(ConfigError, RuntimeError):
     """The ODE state left the finite range: a bad step size or start."""
 
 
@@ -44,26 +44,24 @@ class LorenzParams:
     steps: int = 10000
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        for name in ("sigma", "rho", "beta"):
+            _check(name, getattr(self, name))
+        for value in self.x0:
+            _check("x0", value)
+        _check("dt", self.dt, 0, strict=True)
+        _check("steps", self.steps, 1)
+        _check("steps x dt", self.steps * self.dt)  # the last sample's time
         if self.steps >= MAX_COEFFICIENTS:
-            raise ValueError(
-                f"{self.steps} steps give {self.steps + 1} samples, over the "
-                f"cap of {MAX_COEFFICIENTS}"
-            )
+            raise ConfigError(f"{self.steps} steps give {self.steps + 1} samples, "
+                              f"over the cap of {MAX_COEFFICIENTS}")
 
 
 def _check_samples(samples: int) -> None:
     """A generated series has 16 to MAX_COEFFICIENTS rows; the cap is
     checked before anything is allocated."""
-    if samples < 16:
-        raise ValueError("samples must be >= 16")
+    _check("samples", samples, 16)
     if samples > MAX_COEFFICIENTS:
-        raise ValueError(
-            f"{samples} samples is over the cap of {MAX_COEFFICIENTS}"
-        )
+        raise ConfigError(f"{samples} samples is over the cap of {MAX_COEFFICIENTS}")
 
 
 #: RK4 steps between two checks that the state is finite
@@ -125,7 +123,7 @@ class Event:
 
     time is the leader bump center on the unit interval; lag and width are
     in the same units. Overlapping events are permitted and simply add.
-    Channels are integers, lag, width and amplitude finite, width positive.
+    Channels are integers, every field finite, width positive.
     """
 
     time: float
@@ -145,26 +143,23 @@ class Event:
             try:
                 float(value)
             except OverflowError:  # an int past the float range
-                raise ValueError(f"{f.name} is too large") from None
-        for name in ("lag", "width", "amplitude"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.width <= 0:
-            raise ValueError(f"width must be > 0, got {self.width}")
+                raise ConfigError(f"{f.name} is too large") from None
+            _check(f.name, value)
+        _check("width", self.width, 0, strict=True)
 
 
 def _check_noise(noise_sigma: float, seed: int) -> None:
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be finite and >= 0: {noise_sigma}")
+    _check("noise_sigma", noise_sigma, 0)
     if noise_sigma > 0 and seed < 0:
-        raise ValueError(f"seed must be >= 0 when noise_sigma > 0, got {seed}")
+        raise ConfigError(f"seed must be >= 0 when noise_sigma > 0, got {seed}")
 
 
 def _noisy(values: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         values = values + rng.normal(0.0, noise_sigma, values.shape)
+        if not np.isfinite(values).all():
+            raise ConfigError(f"the noise is not finite at noise_sigma={noise_sigma:g}")
     return values
 
 
@@ -177,11 +172,11 @@ def _bumps(u: np.ndarray, events: Iterable[Event], channels: int,
     values = np.zeros((u.size, channels))
     for ev in events:
         if not 0.0 <= ev.time <= 1.0:
-            raise ValueError(f"event time {ev.time} outside [0, 1]")
+            raise DataError(f"event time {ev.time} outside [0, 1]")
         w = ev.width
         for ch, c in ((ev.leader, ev.time), (ev.follower, ev.time + ev.lag)):
             if not 1 <= ch <= channels:
-                raise ValueError(f"event channel {ch} outside [1, {channels}]")
+                raise DataError(f"event channel {ch} outside [1, {channels}]")
             # the support widened by more than the rounding of (u - c) / w
             # and of the bounds, so that every sample past it is outside
             pad = 1e-15 * (abs(c) + w)
@@ -235,18 +230,17 @@ def cyclic_pair(
     additive Gaussian, seeded.
     """
     _check_samples(samples)
-    if n_events < 1:
-        raise ValueError("n_events must be >= 1")
+    _check("n_events", n_events, 1)
     if n_events > samples:
-        raise ValueError(f"n_events {n_events} is more than samples {samples}")
+        raise ConfigError(f"n_events {n_events} is more than samples {samples}")
     if not 0 <= abs(phase_lag) < 1:
-        raise ValueError("phase_lag must lie in (-1, 1)")
+        raise ConfigError("phase_lag must lie in (-1, 1)")
     period = 1.0 / n_events
     t = np.linspace(0.0, 1.0, samples)
     if warp is not None:
         u = np.asarray(warp(t), dtype=float)
         if u.shape != t.shape or not np.all(np.diff(u) > 0):
-            raise ValueError("warp must be strictly increasing on [0, 1]")
+            raise ConfigError("warp must be strictly increasing on [0, 1]")
     else:
         u = t
     _check_noise(noise_sigma, seed)

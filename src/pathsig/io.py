@@ -33,7 +33,7 @@ from typing import (
 import numpy as np
 
 from . import __version__
-from .path_core import Path, one_path
+from .path_core import DataError, Path, one_path
 
 if TYPE_CHECKING:
     from .causality import SignificanceReport
@@ -57,8 +57,8 @@ __all__ = [
 Source = Union[str, IO[str], IO[bytes]]
 
 
-class CsvFormatError(ValueError):
-    """Input CSV does not match the expected path layout."""
+class CsvFormatError(DataError):
+    """Input CSV or events file is malformed, or not UTF-8."""
 
 
 #: rows formatted by one % operation; bounds the tuple of a block's cells
@@ -163,10 +163,7 @@ def _parse_path_csv(source: IO[str]) -> Path:
         raise CsvFormatError("no data rows after the header")
     times = np.concatenate([b[:, 0] for b in blocks])
     values = np.concatenate([b[:, 1:] for b in blocks])
-    try:
-        return Path(times, values, names)
-    except ValueError as exc:
-        raise CsvFormatError(str(exc)) from None
+    return Path(times, values, names)
 
 
 def _text_blocks(lines, n_cols: int, line_num: int) -> Iterator[np.ndarray]:

@@ -14,7 +14,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .path_core import Path, one_path
+from .path_core import ConfigError, DataError, Path, one_path
 
 __all__ = [
     "LeadMatrix",
@@ -57,7 +57,7 @@ def close_path(a: Path) -> Path:
     signed area.
     """
     if a.n_samples < 2:
-        raise ValueError("close_path needs at least 2 samples")
+        raise DataError("close_path needs at least 2 samples")
     step = float(np.median(np.diff(a.times)))
     return Path(
         np.concatenate([a.times, [a.times[-1] + step]]),
@@ -108,12 +108,11 @@ def winding_number(closed: Path, i: int, j: int, x: Sequence[float]) -> int:
     gap = float(np.linalg.norm(verts[-1] - verts[0]))
     scale = max(1.0, float(np.max(np.abs(verts))))
     if gap > 1e-12 * scale:
-        raise ValueError(
-            f"path is not closed in channels ({i}, {j}); endpoint gap {gap:g}"
-        )
+        raise DataError(f"path is not closed in channels ({i}, {j}); "
+                        f"endpoint gap {gap:g}")
     point = np.asarray(x, dtype=float).reshape(1, 2)
     if float(_segment_distances(point, verts)[0]) <= 1e-12:
-        raise ValueError("winding number undefined: point lies on the curve")
+        raise ConfigError("winding number undefined: point lies on the curve")
     w = float(_winding_angles(point, verts)[0])
     n = int(round(w))
     # a closed chain away from the point sweeps an exact multiple of 2 pi
@@ -180,7 +179,7 @@ class LeadMatrix:
         v = np.ascontiguousarray(self.values, dtype=float).view()
         n = len(self.channel_names)
         if v.shape != (n, n):
-            raise ValueError(f"expected ({n}, {n}) matrix, got {v.shape}")
+            raise ConfigError(f"expected ({n}, {n}) matrix, got {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -200,13 +199,13 @@ def lead_matrix(a: Path) -> LeadMatrix:
     """All pairwise signed areas; entry (i, j) is signed_area(a, i, j).
 
     Skew-symmetry is exact: (j, i) is the same difference taken the other
-    way round, and IEEE subtraction is antisymmetric. Raises ValueError
+    way round, and IEEE subtraction is antisymmetric. Raises ConfigError
     when an area overflows float64.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         areas = _areas(a.values)
     if not np.isfinite(areas).all():
-        raise ValueError("the lead matrix is not finite: an area overflows")
+        raise ConfigError("the lead matrix is not finite: an area overflows")
     return LeadMatrix(a.channel_names, areas)
 
 
@@ -221,12 +220,12 @@ def family_area(alpha: np.ndarray, i: int, j: int) -> float:
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 3:
-        raise ValueError("alpha must have shape (ns, nt, N)")
+        raise DataError("alpha must have shape (ns, nt, N)")
     ns, nt, n = alpha.shape
     if ns < 2 or nt < 2:
-        raise ValueError("family grid must be at least 2 x 2")
+        raise DataError("family grid must be at least 2 x 2")
     if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"channels ({i}, {j}) outside [1, {n}]")
+        raise DataError(f"channels ({i}, {j}) outside [1, {n}]")
     ds = 1.0 / (ns - 1)
     dt = 1.0 / (nt - 1)
     fi = alpha[:, :, i - 1]

@@ -11,11 +11,15 @@ on one time grid, as the shuffle null model builds from its replicates.
 Smoothing, preprocessing and the window statistics broadcast over them, row
 for row the same bytes as one path at a time. Every other function takes
 one path and refuses a batch (see one_path).
+
+Every check in the package raises one of the two ValueErrors defined here:
+DataError when the input cannot serve the request, ConfigError otherwise.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -23,6 +27,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 __all__ = [
+    "DataError",
+    "ConfigError",
     "MAX_COEFFICIENTS",
     "Path",
     "PreprocessConfig",
@@ -43,6 +49,28 @@ MAX_COEFFICIENTS = 1 << 21
 _UNIFORM_RTOL = 1e-8
 
 
+class DataError(ValueError):
+    """The input cannot serve the request: its own grid, length, channel
+    count or values (the CLI's exit 3)."""
+
+
+class ConfigError(ValueError):
+    """The request is at fault: an option or argument, a combination of
+    them, a size cap, a misused call, or a result past float64's range such
+    as a diverging integration (the CLI's exit 5)."""
+
+
+def _check(name: str, value, low=None, strict: bool = False) -> None:
+    """Raise ConfigError, naming the field and its value, unless value is
+    finite and, given low, >= low (> low when strict). Compared, never
+    converted, so an int past float64's range is checked exactly."""
+    if not -math.inf < value < math.inf:
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if low is not None and not (value > low if strict else value >= low):
+        op = ">" if strict else ">="
+        raise ConfigError(f"{name} must be {op} {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class Path:
     """Timestamped N-channel polygonal path, or a batch of them.
@@ -51,7 +79,8 @@ class Path:
     values: shape (T, N), row t is the path position at times[t]; or
     (..., T, N), a batch of paths that share times and channel names.
     channel_names: N labels; generated as c1..cN when omitted.
-    Shape and finiteness are checked once for the whole batch. The arrays
+    Shape and finiteness are checked once for the whole batch, a fault
+    raising DataError. The arrays
     are read-only views, sharing memory with a C-contiguous float64 input.
     """
 
@@ -63,23 +92,20 @@ class Path:
         t = np.ascontiguousarray(self.times, dtype=float).view()
         v = np.ascontiguousarray(self.values, dtype=float).view()
         if t.ndim != 1 or t.size < 1:
-            raise ValueError("times must be a 1-d array with at least one sample")
+            raise DataError("times must be a 1-d array with at least one sample")
         if v.ndim < 2 or v.shape[-2] != t.size:
-            raise ValueError(
-                f"values must be (..., T, N) with T={t.size}, got shape {v.shape}"
-            )
+            raise DataError(f"values must be (..., T, N) with T={t.size}, "
+                            f"got shape {v.shape}")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
-            raise ValueError("times and values must be finite")
+            raise DataError("times and values must be finite")
         # compared, not subtracted: a gap between finite times can overflow
         if t.size > 1 and not np.all(t[1:] > t[:-1]):
-            raise ValueError("times must be strictly increasing")
+            raise DataError("times must be strictly increasing")
         names = tuple(self.channel_names)
         if not names:
             names = tuple(f"c{k + 1}" for k in range(v.shape[-1]))
         if len(names) != v.shape[-1]:
-            raise ValueError(
-                f"{len(names)} channel names for {v.shape[-1]} channels"
-            )
+            raise DataError(f"{len(names)} channel names for {v.shape[-1]} channels")
         t.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -102,7 +128,7 @@ class Path:
         """Values of 1-based channel i (letters of signature words), with
         shape (..., T)."""
         if not 1 <= i <= self.n_channels:
-            raise ValueError(f"channel {i} outside [1, {self.n_channels}]")
+            raise DataError(f"channel {i} outside [1, {self.n_channels}]")
         return self.values[..., i - 1]
 
     def is_uniform(self) -> bool:
@@ -120,16 +146,14 @@ class Path:
 
 def one_path(fn: Callable) -> Callable:
     """Decorate a function that takes one path, not a batch: it raises
-    ValueError when any Path argument carries batch axes."""
+    ConfigError when any Path argument carries batch axes."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         for arg in (*args, *kwargs.values()):
             if isinstance(arg, Path) and arg.values.ndim > 2:
-                raise ValueError(
-                    f"{fn.__name__} takes one path, not a batch of values "
-                    f"of shape {arg.values.shape}"
-                )
+                raise ConfigError(f"{fn.__name__} takes one path, not a batch of "
+                                  f"values of shape {arg.values.shape}")
         return fn(*args, **kwargs)
 
     return checked
@@ -151,14 +175,10 @@ class PreprocessConfig:
     prepend_zero: bool = False
 
     def __post_init__(self) -> None:
-        if self.smooth_sigma < 0:
-            raise ValueError("smooth_sigma must be >= 0")
-        if not np.isfinite(self.smooth_sigma):
-            raise ValueError(f"smooth_sigma must be finite, got {self.smooth_sigma}")
+        _check("smooth_sigma", self.smooth_sigma, 0)
         if self.normalize not in ("per", "global", "none"):
-            raise ValueError(
-                f"normalize must be 'per', 'global' or 'none', got {self.normalize!r}"
-            )
+            raise ConfigError("normalize must be 'per', 'global' or 'none', "
+                              f"got {self.normalize!r}")
 
 
 @one_path
@@ -169,9 +189,7 @@ def concat(a: Path, b: Path) -> Path:
     is merged away.
     """
     if a.n_channels != b.n_channels:
-        raise ValueError(
-            f"channel-count mismatch: {a.n_channels} vs {b.n_channels}"
-        )
+        raise DataError(f"channel-count mismatch: {a.n_channels} vs {b.n_channels}")
     if b.n_samples == 1:
         return a
     # offset first: when b already starts at a's end the shift is exactly
@@ -270,9 +288,9 @@ def reparametrize(a: Path, warp: Callable[[np.ndarray], np.ndarray]) -> Path:
     """
     new_times = np.asarray(warp(a.times), dtype=float)
     if new_times.shape != a.times.shape:
-        raise ValueError("warp must map the time grid to a grid of equal length")
+        raise ConfigError("warp must map the time grid to a grid of equal length")
     if new_times.size > 1 and not np.all(np.diff(new_times) > 0):
-        raise ValueError("warp must be strictly increasing on the time grid")
+        raise ConfigError("warp must be strictly increasing on the time grid")
     return Path(new_times, a.values, a.channel_names)
 
 
@@ -285,19 +303,16 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
     Requires a uniform time grid. sigma = 0 is the identity. A kernel of
     more than MAX_COEFFICIENTS samples is refused before it is built.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    _check("sigma", sigma, 0)
     if sigma == 0 or a.n_samples < 2:
         return a
     if not a.is_uniform():
-        raise ValueError("gaussian_smooth requires a uniform time grid")
+        raise DataError("gaussian_smooth requires a uniform time grid")
     dt = float(a.times[1] - a.times[0])
     radius = np.floor(3.0 * sigma / dt + 1e-12)
     if 2 * radius + 1 > MAX_COEFFICIENTS:
-        raise ValueError(
-            f"a smoothing kernel of {2 * radius + 1:.3g} samples is over "
-            f"the cap of {MAX_COEFFICIENTS}"
-        )
+        raise ConfigError(f"a smoothing kernel of {2 * radius + 1:.3g} samples is "
+                          f"over the cap of {MAX_COEFFICIENTS}")
     radius = int(radius)
     if radius == 0:
         return a
@@ -324,7 +339,7 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
     time step before the first, so the path starts at the origin.
     A constant channel cannot be normalized; it is left unscaled with a
     warning. A channel whose mean, centered values or range overflow
-    float64 raises ValueError naming it. A batch is reduced over time path
+    float64 raises ConfigError naming it. A batch is reduced over time path
     by path, one channel at a time; the mean keeps the summation order of
     one path.
     """
@@ -340,7 +355,7 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
             step = float(np.median(np.diff(times))) if times.size > 1 else 1.0
             origin = times[0] - step
         if not np.isfinite(origin):
-            raise ValueError("cannot prepend the origin sample: the time step "
+            raise ConfigError("cannot prepend the origin sample: the time step "
                              "overflows float64")
         times = np.concatenate([[origin], times])
     n = a.n_channels
@@ -353,12 +368,12 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
             means = a.values.mean(axis=-2)
             if not np.isfinite(means).all():
                 c = np.argmin(np.isfinite(means).reshape(-1, n).all(axis=0))
-                raise ValueError(f"cannot center: the mean of channel "
+                raise ConfigError(f"cannot center: the mean of channel "
                                  f"{a.channel_names[c]} is not finite")
             for c in range(n):
                 np.subtract(a.values[..., c], means[..., c, None], out=body[..., c])
                 if not np.isfinite(body[..., c]).all():
-                    raise ValueError(
+                    raise ConfigError(
                         f"cannot center: channel {a.channel_names[c]} overflows")
     else:
         body[...] = a.values
@@ -373,7 +388,7 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
         if bad.any():
             what = "global range" if cfg.normalize == "global" else (
                 f"range of channel {a.channel_names[np.argmax(bad)]}")
-            raise ValueError(f"cannot normalize: the {what} is not finite")
+            raise ConfigError(f"cannot normalize: the {what} is not finite")
         flat = ranges == 0.0
         if flat.any():
             if cfg.normalize == "global":

@@ -36,7 +36,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .path_core import MAX_COEFFICIENTS, Path, one_path
+from .path_core import MAX_COEFFICIENTS, ConfigError, DataError, Path, one_path
 from .tensor_algebra import TruncatedTensor, validate_word
 
 __all__ = [
@@ -123,15 +123,11 @@ def signature(a: Path, level: int) -> SignatureResult:
     the unit signature.
     """
     if not 1 <= level <= DEFAULT_LEVEL_CAP:
-        raise ValueError(
-            f"level must be in [1, {DEFAULT_LEVEL_CAP}], got {level}"
-        )
+        raise ConfigError(f"level must be in [1, {DEFAULT_LEVEL_CAP}], got {level}")
     size = sum(a.n_channels**k for k in range(level + 1))
     if size > MAX_COEFFICIENTS:
-        raise ValueError(
-            f"a level-{level} signature of {a.n_channels} channels has {size} "
-            f"coefficients, over the cap of {MAX_COEFFICIENTS}"
-        )
+        raise ConfigError(f"a level-{level} signature of {a.n_channels} channels has "
+                          f"{size} coefficients, over the cap of {MAX_COEFFICIENTS}")
     # an overflow shows as a non-finite coefficient, refused by TruncatedTensor
     with np.errstate(over="ignore", invalid="ignore"):
         levels = _prefix_levels(np.diff(a.values, axis=0), level)
@@ -158,9 +154,8 @@ def signature_oracle(a: Path, word: Sequence[int]) -> float:
     w = validate_word(word, a.n_channels)
     k = len(w)
     if k > ORACLE_MAX_WORD:
-        raise ValueError(
-            f"oracle word length {k} exceeds {ORACLE_MAX_WORD} (cost grows as T^k)"
-        )
+        raise ConfigError(f"oracle word length {k} exceeds {ORACLE_MAX_WORD} "
+                          "(cost grows as T^k)")
     if k == 0:
         return 1.0
     deltas = np.diff(a.values, axis=0)
@@ -199,7 +194,7 @@ def signature_derivative(
     length T-1; the values of a batch have shape (..., T-1).
     """
     if a.n_samples < 2:
-        raise ValueError("signature_derivative needs at least 2 samples")
+        raise DataError("signature_derivative needs at least 2 samples")
     x = a.channel(i)
     y = a.channel(j)
     if np.any(x[..., 0] != 0.0):

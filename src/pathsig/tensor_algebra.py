@@ -22,6 +22,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .path_core import ConfigError, _check
+
 Word = Tuple[int, ...]
 
 __all__ = [
@@ -39,7 +41,7 @@ __all__ = [
 ]
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(ConfigError):
     """Two tensors disagree on alphabet size or truncation level."""
 
 
@@ -48,7 +50,7 @@ def validate_word(word: Sequence[int], alphabet_size: int) -> Word:
     w = tuple(int(c) for c in word)
     for c in w:
         if not 1 <= c <= alphabet_size:
-            raise ValueError(f"letter {c} outside alphabet [1, {alphabet_size}]")
+            raise ConfigError(f"letter {c} outside alphabet [1, {alphabet_size}]")
     return w
 
 
@@ -79,24 +81,19 @@ class TruncatedTensor:
     levels: Tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be >= 1")
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
+        _check("alphabet_size", self.alphabet_size, 1)
+        _check("level", self.level, 0)
         if len(self.levels) != self.level + 1:
-            raise ValueError(
-                f"expected {self.level + 1} grade arrays, got {len(self.levels)}"
-            )
+            raise ConfigError(f"expected {self.level + 1} grade arrays, "
+                              f"got {len(self.levels)}")
         frozen = []
         for k, arr in enumerate(self.levels):
             a = np.ascontiguousarray(arr, dtype=float).view()
             if a.shape != (self.alphabet_size**k,):
-                raise ValueError(
-                    f"grade {k} must have {self.alphabet_size ** k} entries, "
-                    f"got shape {a.shape}"
-                )
+                raise ConfigError(f"grade {k} must have {self.alphabet_size ** k} "
+                                  f"entries, got shape {a.shape}")
             if not np.all(np.isfinite(a)):
-                raise ValueError(f"non-finite coefficient at grade {k}")
+                raise ConfigError(f"non-finite coefficient at grade {k}")
             a.setflags(write=False)
             frozen.append(a)
         object.__setattr__(self, "levels", tuple(frozen))
@@ -134,7 +131,7 @@ class TruncatedTensor:
     def coefficient(self, word: Sequence[int]) -> float:
         w = validate_word(word, self.alphabet_size)
         if len(w) > self.level:
-            raise ValueError(f"word {w} longer than truncation level {self.level}")
+            raise ConfigError(f"word {w} longer than truncation level {self.level}")
         return float(self.levels[len(w)][word_index(w, self.alphabet_size)])
 
     # -- linear structure ----------------------------------------------------
@@ -237,11 +234,11 @@ def tensor_exp(a: TruncatedTensor) -> TruncatedTensor:
     """exp(a) = sum_{j>=0} a^(x)j / j!, truncated at L.
 
     Requires a zero constant term, so a^(x)j has lowest grade j and the sum
-    is finite (j <= L). An overflow raises ValueError naming the lowest
+    is finite (j <= L). An overflow raises ConfigError naming the lowest
     non-finite grade of the result.
     """
     if a.levels[0][0] != 0.0:
-        raise ValueError("tensor_exp requires a zero constant term")
+        raise ConfigError("tensor_exp requires a zero constant term")
     n, level = a.alphabet_size, a.level
     power = TruncatedTensor.unit(n, level).levels
     result = [lvl.copy() for lvl in power]
@@ -258,11 +255,11 @@ def tensor_log(s: TruncatedTensor) -> TruncatedTensor:
     """log(s) = sum_{j>=1} (-1)^(j-1)/j (s - 1)^(x)j, truncated at L.
 
     s - 1 is s with grade 0 zeroed, so the kernel reads s's grades and skips
-    grade 0. An overflow raises ValueError naming the lowest non-finite
+    grade 0. An overflow raises ConfigError naming the lowest non-finite
     grade of the result.
     """
     if s.levels[0][0] != 1.0:
-        raise ValueError("tensor_log requires constant term exactly 1")
+        raise ConfigError("tensor_log requires constant term exactly 1")
     n, level = s.alphabet_size, s.level
     power = TruncatedTensor.unit(n, level).levels
     result = [np.zeros(n**k) for k in range(level + 1)]
@@ -304,8 +301,8 @@ def lyndon_words(n: int, max_len: int) -> List[Word]:
     of itself. Generation uses Duval's algorithm, which emits Lyndon words in
     lexicographic order; the result is then re-sorted by (length, lex).
     """
-    if n < 1 or max_len < 1:
-        raise ValueError("need n >= 1 and max_len >= 1")
+    _check("n", n, 1)
+    _check("max_len", max_len, 1)
     found: List[Word] = []
     w = [-1]
     while w:

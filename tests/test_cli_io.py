@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathsig.io
-from pathsig import LeadMatrix, Path, SignificanceReport, signature
+from pathsig import DataError, LeadMatrix, Path, SignificanceReport, signature
 from pathsig.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -60,7 +60,7 @@ def test_minimal_csv():
 
 
 def test_non_monotone_time_is_rejected_with_context():
-    with pytest.raises(CsvFormatError, match="increas"):
+    with pytest.raises(DataError, match="increas"):
         load_path_csv(io.StringIO("t,a\n0,1\n0,2\n"))
 
 
@@ -294,10 +294,7 @@ def _oracle_parse(source):
     if not blocks:
         raise CsvFormatError("no data rows after the header")
     data = np.concatenate(blocks)
-    try:
-        return Path(data[:, 0], data[:, 1:], names)
-    except ValueError as exc:
-        raise CsvFormatError(str(exc)) from None
+    return Path(data[:, 0], data[:, 1:], names)
 
 
 def _oracle_blocks(reader, n_cols):
@@ -813,7 +810,7 @@ def test_non_utf8_events_file_is_data_error(tmp_path, capsys):
     assert "not valid UTF-8" in capsys.readouterr().err
 
 
-def test_window_longer_than_series_is_config_error(tmp_path, capsys):
+def test_window_longer_than_series_is_data_error(tmp_path, capsys):
     f = write_csv(tmp_path)
     code = main(
         [
@@ -821,8 +818,9 @@ def test_window_longer_than_series_is_config_error(tmp_path, capsys):
             "--stride", "1", "--smooth-sigma", "0",
         ]
     )
-    assert code == EXIT_CONFIG
-    capsys.readouterr()
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "pathsig: bad input: window is longer than the series\n")
 
 
 def test_diverging_lorenz_is_config_error(capsys):
@@ -868,11 +866,12 @@ def test_huge_or_non_finite_window_values(flag, value, grid, command, capsys):
         assert code == 0
         assert len(json.loads(out)["curves"][0]["times"]) == 1
         return
-    assert code == EXIT_CONFIG and out == ""
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and out == ""
     if value == "1e308":
-        assert err == "pathsig: config error: window is longer than the series\n"
+        assert code == EXIT_DATA
+        assert err == "pathsig: bad input: window is longer than the series\n"
     else:
+        assert code == EXIT_CONFIG
         name = "length" if flag == "--window" else "stride"
         assert err == f"pathsig: config error: window {name} must be finite, " \
             f"got {value}\n"
@@ -1023,16 +1022,16 @@ def test_a_replicate_that_cannot_be_centered_is_named(tmp_path, capsys):
 
 @pytest.mark.parametrize("pairs", ["1,5", "5,1"])
 def test_a_null_pair_outside_the_channels_is_one_line(pairs, tmp_path, capsys):
-    """A pair that names a channel past the CSV's exits 5 with the
+    """A pair that names a channel past the CSV's exits 3 with the
     statistic's own line, not an IndexError from the channel selection."""
     body = "t,a,b,c\n" + "".join(f"{i},{i % 3},{i % 5},{i % 7}\n" for i in range(40))
     argv = ["slidearea", write_csv(tmp_path, body=body), "--pairs", pairs,
             "--window", "10", "--stride", "5", "--smooth-sigma", "2",
             "--replicates", "10", "--seed", "1"]
-    assert main(argv) == EXIT_CONFIG
+    assert main(argv) == EXIT_DATA
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "pathsig: config error: channel 5 outside [1, 3]\n"
+    assert err == "pathsig: bad input: channel 5 outside [1, 3]\n"
 
 
 # channels rising smoothly to 1.3e154: the observed window areas are
@@ -1375,8 +1374,9 @@ def test_gen_rejects_non_finite_or_negative_noise(generator, noise, tmp_path,
     argv = ["gen", generator, "--samples", "32", f"--noise={noise}", "-o", str(out)]
     assert main(argv) == EXIT_CONFIG
     assert not out.exists()
+    need = ">= 0" if noise == "-1" else "finite"
     assert capsys.readouterr().err == (
-        f"pathsig: config error: noise_sigma must be finite and >= 0: "
+        f"pathsig: config error: noise_sigma must be {need}, got "
         f"{float(noise)}\n"
     )
 
@@ -1743,9 +1743,9 @@ def test_a_missing_required_option_is_one_line(command, dest, tmp_path,
         (["gen", "lorenz", "--x0", "1,2"], {},
          "--x0 needs exactly three components"),
         (["gen", "lorenz", "--x0", "a,b,c"], {}, "--x0 'a,b,c' is not x,y,z"),
-        (["gen", "lorenz", "--thin", "0"], {}, "--thin must be >= 1"),
+        (["gen", "lorenz", "--thin", "0"], {}, "--thin must be >= 1, got 0"),
         (["gen", "cyclic", "--warp-power", "0"], {},
-         "--warp-power must be positive"),
+         "--warp-power must be > 0, got 0.0"),
         (["gen", "cyclic", "--warp-power", "nan"], {},
          "--warp-power must be finite, got nan"),
         (["gen", "cyclic", "--warp-power", "inf"], {},

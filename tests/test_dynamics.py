@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pathsig import dynamics
 from pathsig import (
+    ConfigError,
     Event,
     IntegrationError,
     LorenzParams,
@@ -132,8 +133,13 @@ def _stepped(fn, params):
        st.sampled_from([7, dynamics._BLOCK_STEPS]))
 def test_lorenz_matches_the_field_closure_stepper(sigma, rho, beta, x0, scale,
                                                   dt, steps, block):
-    params = LorenzParams(sigma, rho, beta, tuple(v * scale for v in x0),
-                          dt, steps)
+    x0 = tuple(v * scale for v in x0)
+    if not all(map(math.isfinite, x0)):
+        # a start that is not finite is refused before any step
+        with pytest.raises(ConfigError, match="^x0 must be finite, got "):
+            LorenzParams(sigma, rho, beta, x0, dt, steps)
+        return
+    params = LorenzParams(sigma, rho, beta, x0, dt, steps)
     expected = _stepped(reference_lorenz, params)
     with mock.patch.object(dynamics, "_BLOCK_STEPS", block):
         got = _stepped(lambda p: lorenz(p).values, params)
@@ -156,8 +162,12 @@ def test_lorenz_matches_the_field_closure_stepper(sigma, rho, beta, x0, scale,
          "inf-start", "nan-start"],
 )
 def test_lorenz_in_blocks_of_7_names_the_diverging_step(dt, x0, step):
-    """The step a check after every step names, also when the start row
-    is the non-finite one: step 1, never step 0."""
+    """The step a check after every step names. A start that is not
+    finite is refused before any step, naming x0."""
+    if not all(map(math.isfinite, x0)):
+        with pytest.raises(ConfigError, match=r"^x0 must be finite, got (inf|nan)$"):
+            LorenzParams(x0=x0, dt=dt, steps=40)
+        return
     params = LorenzParams(x0=x0, dt=dt, steps=40)
     message = f"IntegrationError: non-finite state at step {step}"
     assert _stepped(reference_lorenz, params) == message
@@ -302,9 +312,10 @@ def test_event_fields_are_checked_on_construction():
 
 @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, -1.0])
 def test_non_finite_or_negative_noise_is_rejected(noise):
-    with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+    match = "^noise_sigma must be (finite|>= 0), got "
+    with pytest.raises(ConfigError, match=match):
         cyclic_pair(samples=32, noise_sigma=noise)
-    with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+    with pytest.raises(ConfigError, match=match):
         three_channel_event_series(
             default_three_channel_events(), samples=32, noise_sigma=noise
         )

@@ -4,7 +4,8 @@ Random and mutated CSV bytes go through `sig`, `leadmatrix` and `slidearea`,
 and random events files through `gen events --events`, all by calling main()
 in process. Whatever the bytes, main must return 0 (the input was usable),
 3 (bad input) or 5 (a config or size error), never raise, never print a
-traceback, and on failure end stderr with a one-line `pathsig: ` message.
+traceback, and on failure end stderr with a one-line `pathsig: bad input: `
+or `pathsig: config error: ` message that agrees with the code.
 Every int and float option of every (sub)command gets the same check over
 a fixed set of extreme values, within a memory and a time budget.
 """
@@ -58,7 +59,9 @@ def _assert_clean_exit(code, err):
     assert code in (0, 3, 5), err
     assert "Traceback" not in err
     if code:
-        assert err.splitlines()[-1].startswith("pathsig: "), err
+        # the prefix names the class main's table mapped to the code
+        prefix = {3: "pathsig: bad input: ", 5: "pathsig: config error: "}[code]
+        assert err.splitlines()[-1].startswith(prefix), err
 
 
 def _mutated(valid: bytes):

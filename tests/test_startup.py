@@ -119,3 +119,16 @@ def test_the_null_module_loads_without_the_window_statistics():
     loaded = _fresh(
         f"import json, sys\nimport pathsig._null\nprint(json.dumps({LOADED}))")
     assert loaded == ["pathsig", "pathsig._null", "pathsig._pcg64", "pathsig.path_core"]
+
+
+def test_naming_a_submodule_through_the_package_loads_it_alone():
+    """`from pathsig import leadlag` asks the package for the name first;
+    the package leaves it to the import system, which loads leadlag alone,
+    as `import pathsig.leadlag` does. signature stays the function."""
+    named, plain = (
+        _fresh(f"import json, sys\n{first}\nprint(json.dumps({LOADED}))")
+        for first in ("from pathsig import leadlag", "import pathsig.leadlag"))
+    assert named == plain == ["pathsig", "pathsig.leadlag", "pathsig.path_core"]
+    assert _fresh(
+        "import json, sys\nfrom pathsig import signature\nprint(json.dumps("
+        "signature is sys.modules['pathsig.signature'].signature))")
