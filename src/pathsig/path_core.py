@@ -79,9 +79,9 @@ class Path:
     values: shape (T, N), row t is the path position at times[t]; or
     (..., T, N), a batch of paths that share times and channel names.
     channel_names: N labels; generated as c1..cN when omitted.
-    Shape and finiteness are checked once for the whole batch, a fault
-    raising DataError. The arrays
-    are read-only views, sharing memory with a C-contiguous float64 input.
+    Shape and finiteness are checked once for the whole batch (DataError).
+    The arrays are read-only views, sharing memory with a C-contiguous
+    float64 input.
     """
 
     times: np.ndarray
