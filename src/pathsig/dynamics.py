@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,37 +163,15 @@ def _noisy(values: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
     return values
 
 
-def _bumps(u: np.ndarray, events: Iterable[Event], channels: int,
-           noise_sigma: float, seed: int) -> np.ndarray:
-    """The events' bumps at positions u, added in event order, plus noise.
-    A bump adds exactly +-0.0 outside its support, so only the samples
-    around the support are evaluated."""
-    _check_noise(noise_sigma, seed)
-    values = np.zeros((u.size, channels))
-    for ev in events:
-        if not 0.0 <= ev.time <= 1.0:
-            raise DataError(f"event time {ev.time} outside [0, 1]")
-        w = ev.width
-        for ch, c in ((ev.leader, ev.time), (ev.follower, ev.time + ev.lag)):
-            if not 1 <= ch <= channels:
-                raise DataError(f"event channel {ch} outside [1, {channels}]")
-            # the support widened by more than the rounding of (u - c) / w
-            # and of the bounds, so that every sample past it is outside
-            pad = 1e-15 * (abs(c) + w)
-            lo, hi = np.searchsorted(u, (c - w - pad, c + w + pad))
-            rel = (u[lo:hi] - c) / w
-            cos = 0.5 * (1.0 + np.cos(np.pi * rel))
-            bump = np.where(np.abs(rel) <= 1.0, cos, 0.0)
-            values[lo:hi, ch - 1] += ev.amplitude * bump
-    return _noisy(values, noise_sigma, seed)
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _bump_train(u: np.ndarray, centres: np.ndarray, width: float,
-                out: np.ndarray) -> None:
-    """Write into out, zero at positions u, the unit bumps of one width at
-    increasing centres whose supports do not overlap, as _bumps would add
-    them: the samples around every support, found as there, are evaluated
-    in one gathered pass."""
+                amplitude: float, out: np.ndarray) -> None:
+    """Add into out, at positions u, amplitude times the raised-cosine bumps
+    of one width at increasing centres whose supports do not overlap; a bump
+    adds exactly +-0.0 outside its support, so only the samples around it
+    are evaluated. Unwarned, an infinite (u - c) / w reads 0, a sum inf."""
+    # the support widened by more than the rounding of (u - c) / w and of
+    # the bounds, so that every sample past it is outside
     pad = 1e-15 * (np.abs(centres) + width)
     lo = np.searchsorted(u, centres - width - pad)
     counts = np.searchsorted(u, centres + width + pad) - lo
@@ -209,7 +187,8 @@ def _bump_train(u: np.ndarray, centres: np.ndarray, width: float,
     bump += 1.0
     bump *= 0.5
     bump[np.abs(rel) > 1.0] = 0.0
-    out[rows] = bump
+    bump *= amplitude
+    out[rows] += bump
 
 
 def cyclic_pair(
@@ -247,8 +226,8 @@ def cyclic_pair(
     # a bump's support is half a period wide, so a channel's never overlap
     centres = (np.arange(n_events) + 0.5) * period
     values = np.zeros((samples, 2))
-    _bump_train(u, centres, period / 4, values[:, 0])
-    _bump_train(u, centres + phase_lag * period, period / 4, values[:, 1])
+    _bump_train(u, centres, period / 4, 1.0, values[:, 0])
+    _bump_train(u, centres + phase_lag * period, period / 4, 1.0, values[:, 1])
     return Path(t, _noisy(values, noise_sigma, seed), ("y1", "y2"))
 
 
@@ -262,12 +241,23 @@ def three_channel_event_series(
 
     Each event adds a bump of the given width to its leader channel at
     event.time and to its follower channel at event.time + event.lag, on a
-    seeded Gaussian noise baseline. Channels not named by any event stay
-    pure noise.
+    seeded Gaussian noise baseline, in event order. Channels not named by
+    any event stay pure noise; bumps that sum past float64 raise DataError.
     """
     _check_samples(samples)
     t = np.linspace(0.0, 1.0, samples)
-    return Path(t, _bumps(t, events, 3, noise_sigma, seed), ("y1", "y2", "y3"))
+    _check_noise(noise_sigma, seed)
+    values = np.zeros((samples, 3))
+    for ev in events:
+        if not 0.0 <= ev.time <= 1.0:
+            raise DataError(f"event time {ev.time} outside [0, 1]")
+        for ch, c in ((ev.leader, ev.time), (ev.follower, ev.time + ev.lag)):
+            if not 1 <= ch <= 3:
+                raise DataError(f"event channel {ch} outside [1, 3]")
+            _bump_train(t, np.array([c]), ev.width, ev.amplitude, values[:, ch - 1])
+    if not np.isfinite(values).all():
+        raise DataError("the events' bumps sum past float64")
+    return Path(t, _noisy(values, noise_sigma, seed), ("y1", "y2", "y3"))
 
 
 def default_three_channel_events() -> Tuple[Event, Event]:

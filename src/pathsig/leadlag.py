@@ -14,7 +14,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .path_core import ConfigError, DataError, Path, one_path
+from .path_core import ConfigError, DataError, Path, _step_past, one_path
 
 __all__ = [
     "LeadMatrix",
@@ -27,15 +27,20 @@ __all__ = [
 ]
 
 
-def _areas(values: np.ndarray) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")
+def _areas(values: np.ndarray, what: str) -> np.ndarray:
     """Signed areas of every channel pair of the (T, N) polyline about its
     first vertex: 1/2 (C - C^T) with C_ij = sum_t (x_i(t) - x_i(0)) dx_j(t).
+    Raises ConfigError, naming what, when an area overflows float64.
 
     einsum reduces in a fixed order, so unlike a BLAS product the bytes do
     not depend on the thread count.
     """
     c = np.einsum("ti,tj->ij", values[:-1] - values[0], np.diff(values, axis=0))
-    return 0.5 * (c - c.T)
+    areas = 0.5 * (c - c.T)
+    if not np.isfinite(areas).all():
+        raise ConfigError(f"{what} is not finite: an area overflows")
+    return areas
 
 
 @one_path
@@ -43,27 +48,24 @@ def signed_area(a: Path, i: int, j: int) -> float:
     """Signed area of the (i, j) channel pair about the path's start point.
 
     Exact per segment: with X, Y the channels rebased to start at 0,
-    A = 1/2 * sum(X dY - Y dX). i = j gives exactly 0.
+    A = 1/2 * sum(X dY - Y dX). i = j gives exactly 0. Raises ConfigError
+    when the area overflows float64.
     """
-    return float(_areas(np.column_stack([a.channel(i), a.channel(j)]))[0, 1])
+    return float(_areas(_planar_polygon(a, i, j), f"the signed area A^({i},{j})")[0, 1])
 
 
 @one_path
 def close_path(a: Path) -> Path:
     """Append one linear segment returning to the start point.
 
-    The closing sample lands one median time step after the end. An
-    already-closed path gains a zero-displacement segment, which changes no
-    signed area.
+    The closing sample lands one median time step after the end; a time
+    past float64 raises ConfigError. An already-closed path gains a
+    zero-displacement segment, which changes no signed area.
     """
     if a.n_samples < 2:
         raise DataError("close_path needs at least 2 samples")
-    step = float(np.median(np.diff(a.times)))
-    return Path(
-        np.concatenate([a.times, [a.times[-1] + step]]),
-        np.vstack([a.values, a.values[0]]),
-        a.channel_names,
-    )
+    times = np.concatenate([a.times, [_step_past(a.times, 1, "close the path")]])
+    return Path(times, np.vstack([a.values, a.values[0]]), a.channel_names)
 
 
 def _planar_polygon(a: Path, i: int, j: int) -> np.ndarray:
@@ -202,11 +204,7 @@ def lead_matrix(a: Path) -> LeadMatrix:
     way round, and IEEE subtraction is antisymmetric. Raises ConfigError
     when an area overflows float64.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        areas = _areas(a.values)
-    if not np.isfinite(areas).all():
-        raise ConfigError("the lead matrix is not finite: an area overflows")
-    return LeadMatrix(a.channel_names, areas)
+    return LeadMatrix(a.channel_names, _areas(a.values, "the lead matrix"))
 
 
 def family_area(alpha: np.ndarray, i: int, j: int) -> float:

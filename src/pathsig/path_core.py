@@ -182,11 +182,12 @@ class PreprocessConfig:
 
 
 @one_path
+@np.errstate(over="ignore", invalid="ignore")
 def concat(a: Path, b: Path) -> Path:
     """Concatenate two paths, translating b so its start meets a's end.
 
     b's time axis is shifted to continue a's; the duplicate junction sample
-    is merged away.
+    is merged away. A time or value past float64 is the Path's DataError.
     """
     if a.n_channels != b.n_channels:
         raise DataError(f"channel-count mismatch: {a.n_channels} vs {b.n_channels}")
@@ -220,11 +221,12 @@ def _exact_backtrack(d1: np.ndarray, d2: np.ndarray) -> bool:
     """True when segment d2 runs exactly opposite to d1 along the same ray."""
     if float(np.dot(d1, d2)) >= 0.0:
         return False
-    # colinearity must hold exactly: every 2x2 cross term vanishes
-    return bool(np.array_equal(np.outer(d1, d2), np.outer(d2, d1)))
+    # colinear exactly: every 2x2 cross term vanishes, and nan (overflow) does not
+    return not np.any(np.outer(d1, d2) - np.outer(d2, d1))
 
 
 @one_path
+@np.errstate(over="ignore", invalid="ignore")
 def reduce_path(a: Path) -> Path:
     """Cancel exact backtracks until the polygonal path is irreducible.
 
@@ -272,11 +274,15 @@ def reduce_path(a: Path) -> Path:
 
 
 @one_path
+@np.errstate(over="ignore")
 def one_variation(a: Path) -> float:
-    """Exact 1-variation of the interpolant: sum of segment norms."""
+    """Exact 1-variation of the interpolant: sum of segment norms. Raises
+    ConfigError when it overflows float64."""
     if a.n_samples < 2:
         return 0.0
-    return float(np.sum(np.linalg.norm(np.diff(a.values, axis=0), axis=1)))
+    total = float(np.sum(np.linalg.norm(np.diff(a.values, axis=0), axis=1)))
+    _check("the 1-variation", total)
+    return total
 
 
 @one_path
@@ -330,6 +336,17 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
     return a.with_values(smoothed)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _step_past(times: np.ndarray, side: int, what: str) -> float:
+    """The time one median step after the grid (side 1) or before it (-1);
+    one sample steps by 1. Raises ConfigError naming what, past float64."""
+    step = float(np.median(np.diff(times))) if times.size > 1 else 1.0
+    past = times[-1 if side > 0 else 0] + side * step
+    if not np.isfinite(past):
+        raise ConfigError(f"cannot {what}: the time step overflows float64")
+    return past
+
+
 def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
     """Apply the standard conditioning recipe in its fixed order.
 
@@ -351,12 +368,7 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
     # is one, so a batch costs a single copy of its values
     times = a.times
     if cfg.prepend_zero:
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = float(np.median(np.diff(times))) if times.size > 1 else 1.0
-            origin = times[0] - step
-        if not np.isfinite(origin):
-            raise ConfigError("cannot prepend the origin sample: the time step "
-                             "overflows float64")
+        origin = _step_past(times, -1, "prepend the origin sample")
         times = np.concatenate([[origin], times])
     n = a.n_channels
     values = np.zeros(a.values.shape[:-2] + (times.size, n))

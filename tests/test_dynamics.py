@@ -426,6 +426,17 @@ def test_support_bounds_past_float64_do_not_warn(lag):
     assert a.values.tobytes() == expected.tobytes()
 
 
+def test_a_subnormal_width_does_not_warn():
+    """At a sample just inside the padded support, (u - c) / w overflows;
+    the bump there is 0, without numpy's warning. Found by the Hypothesis
+    test above: on the parent, the divide's overflow warned."""
+    events = [Event(0.0, 1, 1, lag=1.000000000000001, width=5e-324)]
+    a = three_channel_event_series(events, samples=16)
+    with np.errstate(all="ignore"):
+        expected = _full_grid_events(events, 16, 0.0, 0)
+    assert a.values.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(16, 600),

@@ -10,11 +10,17 @@ import importlib
 import json
 import math
 import pathlib
+import warnings
 
+import numpy as np
 import pytest
 
 import pathsig.cli
-from pathsig import ConfigError, DataError, LorenzParams
+from pathsig import (ConfigError, DataError, LeadMatrix, LorenzParams, Path,
+                     PreprocessConfig, SignificanceReport, TruncatedTensor,
+                     close_path, concat, family_area, gaussian_smooth, inverse,
+                     lead_matrix, one_variation, preprocess, reduce_path,
+                     reparametrize, signature_oracle, signed_area)
 from pathsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -239,3 +245,148 @@ def test_noise_past_float64_is_a_config_error(capsys):
         EXIT_CONFIG)
     assert capsys.readouterr().err == (
         "pathsig: config error: the noise is not finite at noise_sigma=1e+308\n")
+
+
+def _no_runtime_warning(caught):
+    return not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("noise", ["0", "0.1"])
+def test_events_whose_bumps_sum_past_float64_are_bad_input(noise, tmp_path,
+                                                           capsys):
+    """Before: numpy's overflow warning, then `times and values must be
+    finite` (exit 3) without noise, or `the noise is not finite` (exit 5)
+    with it. The sum is checked before any noise is drawn."""
+    events = tmp_path / "events.json"
+    events.write_text(json.dumps(
+        [{"time": 0.5, "leader": 1, "follower": 2, "width": 0.3,
+          "amplitude": 1.5e308}] * 3))
+    argv = ["gen", "events", "--events", str(events), "--samples", "33",
+            "--noise", noise, "--seed", "1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "pathsig: bad input: the events' bumps sum past float64\n"
+    assert _no_runtime_warning(caught)
+
+
+# rows whose increments and areas overflow float64: 1e308 - (-1e308)
+_HUGE = Path(np.arange(4.0), [[0.0, 0.0], [1e308, -1e308], [-1e308, 1e308],
+                              [1e308, -1e308]])
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.7e308], [-1.7e308, 0.0, 1.7e308]],
+                         ids=["closing-sum", "median-step"])
+def test_close_path_past_float64_names_the_time_step(times):
+    """Before: numpy's overflow warning, then the Path's DataError."""
+    a = Path(times, np.arange(float(len(times)))[:, None])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match="^cannot close the path: the "
+                           "time step overflows float64$"):
+            close_path(a)
+        with pytest.raises(ConfigError, match="^cannot prepend the origin "
+                           "sample: the time step overflows float64$"):
+            preprocess(inverse(a), PreprocessConfig(prepend_zero=True))
+    assert _no_runtime_warning(caught)
+
+
+_ONE = Path([0.0], [[1.0, 2.0]])
+_REPORT = dict(statistic_name="s", pair=None, times=np.zeros(2),
+               observed=np.zeros(2), null_mean=np.zeros(2), null_std=np.zeros(2),
+               band_lo=np.zeros(2), band_hi=np.zeros(2),
+               significant_mask=np.zeros(2, bool), runs=(), replicates=2, seed=0,
+               band_sigmas=3.0, band_mode="gaussian", min_run_length=1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Path(np.zeros(0), np.zeros((0, 1))), DataError,
+         "times must be a 1-d array with at least one sample"),
+        (lambda: concat(_ONE, Path([0.0], [[1.0]])), DataError,
+         "channel-count mismatch: 2 vs 1"),
+        (lambda: reparametrize(_HUGE, lambda t: t[1:]), ConfigError,
+         "warp must map the time grid to a grid of equal length"),
+        (lambda: close_path(_ONE), DataError, "close_path needs at least 2 samples"),
+        (lambda: LeadMatrix(("a", "b"), np.zeros((2, 3))), ConfigError,
+         r"expected \(2, 2\) matrix, got \(2, 3\)"),
+        (lambda: family_area(np.zeros((4, 4)), 1, 2), DataError,
+         r"alpha must have shape \(ns, nt, N\)"),
+        (lambda: TruncatedTensor(2, 1, (np.ones(1),)), ConfigError,
+         "expected 2 grade arrays, got 1"),
+        (lambda: TruncatedTensor(2, 1, (np.ones(1), np.ones(3))), ConfigError,
+         r"grade 1 must have 2 entries, got shape \(3,\)"),
+        (lambda: TruncatedTensor.unit(2, 1).coefficient((1, 2)), ConfigError,
+         r"word \(1, 2\) longer than truncation level 1"),
+        (lambda: SignificanceReport(**dict(_REPORT, observed=np.zeros(3))),
+         ConfigError, r"observed must have shape \(2,\)"),
+    ],
+    ids=["path-no-samples", "concat-channels", "warp-length", "close-one-sample",
+         "lead-matrix-shape", "family-ndim", "tensor-grades", "tensor-grade-size",
+         "word-past-level", "report-shape"],
+)
+def test_each_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_edge_cases_without_a_refusal():
+    """One sample has no 1-variation to sum; the empty word's coefficient
+    is the constant term."""
+    assert one_variation(_ONE) == 0.0
+    assert signature_oracle(_HUGE, ()) == 1.0
+    assert SignificanceReport(**_REPORT).observed.shape == (2,)
+
+
+@pytest.mark.parametrize("value", ["0", "false", "No", " off "])
+def test_a_false_boolean_variable_is_the_flag_left_off(value, monkeypatch,
+                                                       capsys):
+    assert main(["logsig", UNIFORM, "--level", "2"]) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("PATHSIG_LYNDON", value)
+    assert main(["logsig", UNIFORM, "--level", "2"]) == 0
+    assert capsys.readouterr().out == plain
+    monkeypatch.setenv("PATHSIG_LYNDON", "1")
+    assert main(["logsig", UNIFORM, "--level", "2"]) == 0
+    assert capsys.readouterr().out != plain
+
+
+_PUBLIC = {
+    "concat": (lambda a: concat(a, a), DataError, "times and values must be finite"),
+    "inverse": (inverse, None, None),
+    "reduce_path": (reduce_path, None, None),
+    "one_variation": (one_variation, ConfigError,
+                      "the 1-variation must be finite, got inf"),
+    "reparametrize": (lambda a: reparametrize(a, lambda t: t + 1.0), None, None),
+    "preprocess": (lambda a: preprocess(a, PreprocessConfig(
+        center=True, normalize="per", prepend_zero=True)), ConfigError,
+        "cannot normalize: the range of channel c1 is not finite"),
+    "prepend_zero": (lambda a: preprocess(a, PreprocessConfig(prepend_zero=True)),
+                     None, None),
+    "gaussian_smooth": (lambda a: gaussian_smooth(a, 1.0), None, None),
+    "signed_area": (lambda a: signed_area(a, 1, 2), ConfigError,
+                    r"the signed area A\^\(1,2\) is not finite: an area overflows"),
+    "close_path": (close_path, None, None),
+    "lead_matrix": (lead_matrix, ConfigError,
+                    "the lead matrix is not finite: an area overflows"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PUBLIC))
+def test_near_float64_max_a_result_is_finite_or_one_named_error(name):
+    """The path-level functions of path_core and leadlag, oracles aside:
+    none lets numpy's overflow warning escape or returns inf or nan.
+    Before, one_variation returned inf, signed_area nan (where lead_matrix
+    raised the message it keeps), and concat and reduce_path warned."""
+    call, error, message = _PUBLIC[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if error is None:
+            assert np.isfinite(call(_HUGE).values).all()
+        else:
+            with pytest.raises(error, match=f"^{message}$"):
+                call(_HUGE)
+    assert _no_runtime_warning(caught)

@@ -170,6 +170,13 @@ def test_reduce_keeps_irreducible_path():
     assert np.array_equal(r.values, a.values)
 
 
+def test_reduce_keeps_a_turn_whose_cross_terms_overflow():
+    """Directions (1, 1) then (-1, -2): every cross term overflows to the
+    same -inf, which once read as colinear and dropped the middle vertex."""
+    a = path_of([[0.0, 0.0], [1e200, 1e200], [0.0, -1e200]])
+    assert np.array_equal(reduce_path(a).values, a.values)
+
+
 # ---------------------------------------------------------------------------
 # 1-variation
 
