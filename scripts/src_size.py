@@ -11,8 +11,10 @@ module's lines at the base -> now; and each module's compile() peak
 are tokenize's tokens less COMMENT and NL, so comments and blank lines do
 not count. perfbench runs without a bytecode cache, so the compile() peak
 of a module reaches peak_rss_mb; it steps up when a module passes 2,048
-and 4,096 tokens of code. A module missing on one side reads `-`. Run it
-from the root of the checkout.
+and 4,096 tokens of code. A token line ends with `(crosses 2,048)` or
+`(now under 2,048)` for each such step that lies between the module's
+counts at the base and now. A module missing on one side reads `-`. Run
+it from the root of the checkout.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import tokenize
 import tracemalloc
 
 SRC = "src/pathsig"
+
+#: tokens of code at which a module's compile() peak steps up
+STEPS = (2048, 4096)
 
 
 def _at(base, path):
@@ -58,6 +63,16 @@ def _tokens(source):
                if t.type not in (tokenize.COMMENT, tokenize.NL))
 
 
+def _crossings(before, after):
+    """' (crosses 2,048)', ' (now under 2,048)', ... for each step between
+    the two token counts; '' when there is none or a count is missing."""
+    if before is None or after is None:
+        return ""
+    marks = [f"{'crosses' if after >= s else 'now under'} {s:,}"
+             for s in STEPS if (before < s) != (after < s)]
+    return f" ({', '.join(marks)})" if marks else ""
+
+
 def main(argv) -> None:
     # no argparse: the names it interns would lower cli.py's compile() peak
     if len(argv) != 2 or argv[0] != "--base":
@@ -89,10 +104,12 @@ def main(argv) -> None:
           f"parent ({base}) -> this commit")
     for p in paths:
         b, a = before[p], after[p]
+        tb = None if b is None else _tokens(b)
+        ta = None if a is None else _tokens(a)
         print(f"{p}: {'-' if b is None else _peak(b, p)} -> "
               f"{'-' if a is None else _peak(a, p)} MB, "
-              f"{'-' if b is None else _tokens(b)} -> "
-              f"{'-' if a is None else _tokens(a)} tokens")
+              f"{'-' if tb is None else tb} -> {'-' if ta is None else ta} tokens"
+              f"{_crossings(tb, ta)}")
 
 
 if __name__ == "__main__":

@@ -148,7 +148,7 @@ def shuffle_channels(a: Path, derived_seed: int) -> Path:
     multiset; the time grid is untouched.
     """
     rng = np.random.Generator(np.random.PCG64(derived_seed))
-    return a.with_values(rng.permuted(a.values, axis=0))
+    return a.with_values(_permuted(a.values, [rng], 1)[0])
 
 
 def _chunks(a: Path, spec: NullModelSpec, cfg: Optional[PreprocessConfig],

@@ -22,7 +22,8 @@ import numpy as np
 from ._null import NullModelSpec, Run, SignificanceReport, _curve
 from ._null import shuffle_channels, shuffle_null
 from ._pcg64 import mix_seed
-from .path_core import MAX_COEFFICIENTS, ConfigError, DataError, Path, _check, one_path
+from .path_core import (MAX_COEFFICIENTS, ConfigError, DataError, Path, _check,
+                        _uniform_dt, one_path)
 from .signature import signature_derivative, signature_derivative_integral
 
 __all__ = [
@@ -53,12 +54,6 @@ class WindowSpec:
 
 
 # -- window machinery --------------------------------------------------------
-
-
-def _uniform_dt(a: Path) -> Optional[float]:
-    if a.n_samples < 2:
-        return None
-    return float(a.times[1] - a.times[0]) if a.is_uniform() else None
 
 
 def _index_windows(a: Path, dt: float, w: WindowSpec) -> Tuple[np.ndarray, np.ndarray]:

@@ -165,8 +165,8 @@ def _cmd_pairwise(cfg: Config) -> Output:
                     {
                         "statistic": name,
                         "pair": list(pair),
-                        "times": [float(t) for t in times],
-                        "values": [float(v) for v in vals],
+                        "times": times.tolist(),
+                        "values": vals.tolist(),
                     }
                     for _, pair, times, vals in curves
                 ]

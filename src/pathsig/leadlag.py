@@ -14,7 +14,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .path_core import ConfigError, DataError, Path, _step_past, one_path
+from .path_core import (ConfigError, DataError, Path, _check, _frozen, _step_past,
+                        one_path)
 
 __all__ = [
     "LeadMatrix",
@@ -99,12 +100,13 @@ def _winding_angles(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
 
 @one_path
+@np.errstate(over="ignore", invalid="ignore")
 def winding_number(closed: Path, i: int, j: int, x: Sequence[float]) -> int:
     """Winding number of the closed (i, j) projection about the point x.
 
     Computed by exact per-segment angle accumulation. The path must be
     closed in channels (i, j) and x must stay farther than 1e-12 from every
-    segment.
+    segment. Raises ConfigError when the angle sum overflows float64.
     """
     verts = _planar_polygon(closed, i, j)
     gap = float(np.linalg.norm(verts[-1] - verts[0]))
@@ -116,6 +118,7 @@ def winding_number(closed: Path, i: int, j: int, x: Sequence[float]) -> int:
     if float(_segment_distances(point, verts)[0]) <= 1e-12:
         raise ConfigError("winding number undefined: point lies on the curve")
     w = float(_winding_angles(point, verts)[0])
+    _check(f"the angle sum of channels ({i}, {j})", w)
     n = int(round(w))
     # a closed chain away from the point sweeps an exact multiple of 2 pi
     assert abs(w - n) < 0.25, f"angle sum {w} is not near an integer"
@@ -123,6 +126,7 @@ def winding_number(closed: Path, i: int, j: int, x: Sequence[float]) -> int:
 
 
 @one_path
+@np.errstate(over="ignore", invalid="ignore")
 def signed_area_via_winding(
     a: Path,
     i: int,
@@ -136,7 +140,7 @@ def signed_area_via_winding(
     grid over the bounding box plus a margin (fraction of the box diagonal),
     and sums winding_number(cell center) * cell area. Centers within 1e-9 of
     the curve are jittered by half a cell. Never the production route; cost
-    is O(grid * T).
+    is O(grid * T). Raises ConfigError when the sum overflows float64.
     """
     verts = _planar_polygon(a, i, j)
     if not np.array_equal(verts[-1], verts[0]):
@@ -166,7 +170,9 @@ def signed_area_via_winding(
             block[near] += np.array([0.5 * dx, 0.5 * dy])
         w = _winding_angles(block, verts)
         total += float(np.sum(np.round(w)))
-    return total * dx * dy
+    area = total * dx * dy
+    _check(f"the winding area A^({i},{j})", area)
+    return area
 
 
 @dataclass(frozen=True)
@@ -178,11 +184,10 @@ class LeadMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.values, dtype=float).view()
+        v = _frozen(self.values)
         n = len(self.channel_names)
         if v.shape != (n, n):
             raise ConfigError(f"expected ({n}, {n}) matrix, got {v.shape}")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -207,6 +212,7 @@ def lead_matrix(a: Path) -> LeadMatrix:
     return LeadMatrix(a.channel_names, _areas(a.values, "the lead matrix"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def family_area(alpha: np.ndarray, i: int, j: int) -> float:
     """Area integral of a sampled family of paths alpha: [0,1]^2 -> R^N.
 
@@ -214,7 +220,8 @@ def family_area(alpha: np.ndarray, i: int, j: int) -> float:
     the double integral of
     d(alpha_i)/ds * d(alpha_j)/dt - d(alpha_i)/dt * d(alpha_j)/ds
     with central-difference Jacobians at cell centers and midpoint
-    quadrature, which is exact for integrands linear per cell.
+    quadrature, which is exact for integrands linear per cell. Raises
+    ConfigError when the integral is not finite.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 3:
@@ -236,4 +243,6 @@ def family_area(alpha: np.ndarray, i: int, j: int) -> float:
         return (f[:-1, 1:] - f[:-1, :-1] + f[1:, 1:] - f[1:, :-1]) / (2.0 * dt)
 
     integrand = d_ds(fi) * d_dt(fj) - d_dt(fi) * d_ds(fj)
-    return float(np.sum(integrand)) * ds * dt
+    area = float(np.sum(integrand)) * ds * dt
+    _check(f"the family area A^({i},{j})", area)
+    return area

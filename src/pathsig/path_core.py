@@ -22,7 +22,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +60,13 @@ class ConfigError(ValueError):
     as a diverging integration (the CLI's exit 5)."""
 
 
+def _frozen(x) -> np.ndarray:
+    """x as a read-only float64 view, sharing a C-contiguous float64's memory."""
+    v = np.ascontiguousarray(x, dtype=float).view()
+    v.setflags(write=False)
+    return v
+
+
 def _check(name: str, value, low=None, strict: bool = False) -> None:
     """Raise ConfigError, naming the field and its value, unless value is
     finite and, given low, >= low (> low when strict). Compared, never
@@ -89,8 +96,8 @@ class Path:
     channel_names: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        t = np.ascontiguousarray(self.times, dtype=float).view()
-        v = np.ascontiguousarray(self.values, dtype=float).view()
+        t = _frozen(self.times)
+        v = _frozen(self.values)
         if t.ndim != 1 or t.size < 1:
             raise DataError("times must be a 1-d array with at least one sample")
         if v.ndim < 2 or v.shape[-2] != t.size:
@@ -106,8 +113,6 @@ class Path:
             names = tuple(f"c{k + 1}" for k in range(v.shape[-1]))
         if len(names) != v.shape[-1]:
             raise DataError(f"{len(names)} channel names for {v.shape[-1]} channels")
-        t.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "channel_names", names)
@@ -142,6 +147,13 @@ class Path:
 
     def with_values(self, values: np.ndarray) -> "Path":
         return Path(self.times, values, self.channel_names)
+
+
+def _uniform_dt(a: Path) -> Optional[float]:
+    """a's uniform time step; None for one sample or a non-uniform grid."""
+    if a.n_samples < 2 or not a.is_uniform():
+        return None
+    return float(a.times[1] - a.times[0])
 
 
 def one_path(fn: Callable) -> Callable:
@@ -236,41 +248,21 @@ def reduce_path(a: Path) -> Path:
     near-backtracks are left alone. The surviving vertices keep their
     original timestamps.
     """
-    times = a.times
-    values = a.values
-    out_t = [float(times[0])]
-    out_v = [values[0]]
-    for s in range(1, a.n_samples):
-        t = float(times[s])
-        w = values[s]
-        while True:
-            if np.array_equal(w, out_v[-1]):
-                break  # zero displacement: drop the incoming sample
-            if len(out_v) < 2:
-                out_t.append(t)
-                out_v.append(w)
-                break
-            u, v = out_v[-2], out_v[-1]
-            d1 = v - u
-            d2 = w - v
-            if not _exact_backtrack(d1, d2):
-                out_t.append(t)
-                out_v.append(w)
-                break
-            if np.array_equal(w, u):
-                # full cancellation of the spike u -> v -> u
-                out_t.pop()
-                out_v.pop()
-                break
-            out_t.pop()
-            out_v.pop()
-            if float(np.dot(d2, d2)) < float(np.dot(d1, d1)):
-                # partial backtrack: w sits strictly between u and v
-                out_t.append(t)
-                out_v.append(w)
-                break
-            # overshoot past u: re-examine w against the segment before u
-    return Path(np.asarray(out_t), np.vstack(out_v), a.channel_names)
+    out = [(a.times[0], a.values[0])]  # the (time, vertex) stack
+    for t, w in zip(a.times[1:], a.values[1:]):
+        # w is dropped at zero displacement, also after a full backtrack to u
+        while not np.array_equal(w, out[-1][1]):
+            if len(out) > 1:
+                (_, u), (_, v) = out[-2:]
+                d1, d2 = v - u, w - v
+                if _exact_backtrack(d1, d2):
+                    out.pop()
+                    if float(np.dot(d2, d2)) >= float(np.dot(d1, d1)):
+                        continue  # back at u or past it: re-examine w
+            out.append((t, w))  # a turn, or w strictly between u and v
+            break
+    times, values = zip(*out)
+    return Path(np.asarray(times), np.vstack(values), a.channel_names)
 
 
 @one_path
@@ -295,7 +287,7 @@ def reparametrize(a: Path, warp: Callable[[np.ndarray], np.ndarray]) -> Path:
     new_times = np.asarray(warp(a.times), dtype=float)
     if new_times.shape != a.times.shape:
         raise ConfigError("warp must map the time grid to a grid of equal length")
-    if new_times.size > 1 and not np.all(np.diff(new_times) > 0):
+    if not np.all(new_times[1:] > new_times[:-1]):
         raise ConfigError("warp must be strictly increasing on the time grid")
     return Path(new_times, a.values, a.channel_names)
 
@@ -312,9 +304,9 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
     _check("sigma", sigma, 0)
     if sigma == 0 or a.n_samples < 2:
         return a
-    if not a.is_uniform():
+    dt = _uniform_dt(a)
+    if dt is None:
         raise DataError("gaussian_smooth requires a uniform time grid")
-    dt = float(a.times[1] - a.times[0])
     radius = np.floor(3.0 * sigma / dt + 1e-12)
     if 2 * radius + 1 > MAX_COEFFICIENTS:
         raise ConfigError(f"a smoothing kernel of {2 * radius + 1:.3g} samples is "

@@ -165,17 +165,9 @@ def signature_oracle(a: Path, word: Sequence[int]) -> float:
     cols = [deltas[:, c - 1] for c in w]
     total = 0.0
     for segs in itertools.combinations_with_replacement(range(m), k):
-        term = 1.0
-        for pos, s in enumerate(segs):
-            term *= cols[pos][s]
-        run = 1
-        for pos in range(1, k):
-            if segs[pos] == segs[pos - 1]:
-                run += 1
-            else:
-                term /= math.factorial(run)
-                run = 1
-        term /= math.factorial(run)
+        term = math.prod(col[s] for col, s in zip(cols, segs))
+        for _, run in itertools.groupby(segs):
+            term /= math.factorial(len(list(run)))
         total += term
     return total
 

@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .path_core import ConfigError, _check
+from .path_core import ConfigError, _check, _frozen
 
 Word = Tuple[int, ...]
 
@@ -88,13 +88,12 @@ class TruncatedTensor:
                               f"got {len(self.levels)}")
         frozen = []
         for k, arr in enumerate(self.levels):
-            a = np.ascontiguousarray(arr, dtype=float).view()
+            a = _frozen(arr)
             if a.shape != (self.alphabet_size**k,):
                 raise ConfigError(f"grade {k} must have {self.alphabet_size ** k} "
                                   f"entries, got shape {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ConfigError(f"non-finite coefficient at grade {k}")
-            a.setflags(write=False)
             frozen.append(a)
         object.__setattr__(self, "levels", tuple(frozen))
 

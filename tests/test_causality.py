@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathsig import (
+    DataError,
     LorenzParams,
     NullModelSpec,
     Path,
@@ -97,6 +98,13 @@ def test_window_longer_than_series_raises(rng):
     a = random_path(rng, n_samples=10)
     with pytest.raises(ValueError):
         sliding_signed_area(a, (1, 2), WindowSpec(100.0, 1.0))
+
+
+def test_window_over_one_sample_is_longer_than_the_series():
+    """One sample has no uniform step: the windows are laid out in time."""
+    a = Path([0.0], [[1.0, 2.0]])
+    with pytest.raises(DataError, match="^window is longer than the series$"):
+        sliding_signed_area(a, (1, 2), WindowSpec(1.0, 1.0))
 
 
 @pytest.mark.parametrize("length", [0.3, 0.7, 1.7])

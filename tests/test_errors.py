@@ -20,7 +20,8 @@ from pathsig import (ConfigError, DataError, LeadMatrix, LorenzParams, Path,
                      PreprocessConfig, SignificanceReport, TruncatedTensor,
                      close_path, concat, family_area, gaussian_smooth, inverse,
                      lead_matrix, one_variation, preprocess, reduce_path,
-                     reparametrize, signature_oracle, signed_area)
+                     reparametrize, signature_oracle, signed_area,
+                     signed_area_via_winding, winding_number)
 from pathsig.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -361,6 +362,9 @@ _PUBLIC = {
     "one_variation": (one_variation, ConfigError,
                       "the 1-variation must be finite, got inf"),
     "reparametrize": (lambda a: reparametrize(a, lambda t: t + 1.0), None, None),
+    # its first gap, 3.4e308, passes float64
+    "reparametrize_wide": (lambda a: reparametrize(
+        a, lambda t: np.array([-1.7e308, 1.7e308, 1.75e308, 1.79e308])), None, None),
     "preprocess": (lambda a: preprocess(a, PreprocessConfig(
         center=True, normalize="per", prepend_zero=True)), ConfigError,
         "cannot normalize: the range of channel c1 is not finite"),
@@ -372,13 +376,21 @@ _PUBLIC = {
     "close_path": (close_path, None, None),
     "lead_matrix": (lead_matrix, ConfigError,
                     "the lead matrix is not finite: an area overflows"),
+    "winding_number": (lambda a: winding_number(close_path(a), 1, 2, (0.5, 0.5)),
+                       ConfigError,
+                       r"the angle sum of channels \(1, 2\) must be finite, got nan"),
+    "signed_area_via_winding": (
+        lambda a: signed_area_via_winding(a, 1, 2, cells=4), ConfigError,
+        r"the winding area A\^\(1,2\) must be finite, got nan"),
+    "family_area": (lambda a: family_area(a.values.reshape(2, 2, 2), 1, 2),
+                    ConfigError, r"the family area A\^\(1,2\) must be finite, got nan"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PUBLIC))
 def test_near_float64_max_a_result_is_finite_or_one_named_error(name):
-    """The path-level functions of path_core and leadlag, oracles aside:
-    none lets numpy's overflow warning escape or returns inf or nan.
+    """The path-level functions of path_core and leadlag: none lets numpy's
+    overflow warning escape or returns inf or nan.
     Before, one_variation returned inf, signed_area nan (where lead_matrix
     raised the message it keeps), and concat and reduce_path warned."""
     call, error, message = _PUBLIC[name]

@@ -144,6 +144,21 @@ def test_grid_area_matches_shoelace_on_random_polygons(rng):
         assert abs(approx - exact) <= perimeter * cell_diag
 
 
+def test_grid_area_of_a_path_without_extent_is_zero():
+    a = Path(np.arange(3.0), np.full((3, 2), 1.5))
+    assert signed_area_via_winding(a, 1, 2) == 0.0
+
+
+def test_grid_area_jitters_centres_on_the_curve_within_the_c06_bound():
+    """On a 2 x 2 grid with no margin the centres (0.5, 1.5) and (1.5, 0.5)
+    lie on the hypotenuse and are moved half a cell before counting."""
+    tri = Path(np.arange(3.0), [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    approx = signed_area_via_winding(tri, 1, 2, cells=2, margin=0.0)
+    perimeter = float(np.sum(np.hypot(*np.diff(close_path(tri).values, axis=0).T)))
+    cell_diag = float(np.hypot(1.0, 1.0))
+    assert abs(approx - signed_area(tri, 1, 2)) <= perimeter * cell_diag
+
+
 def test_grid_area_of_unit_circle():
     c = circle(1000)
     assert signed_area_via_winding(c, 1, 2, cells=150) == pytest.approx(

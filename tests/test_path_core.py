@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathsig import (
     LeadMatrix,
@@ -16,6 +18,7 @@ from pathsig import (
     reduce_path,
     reparametrize,
 )
+from pathsig.path_core import _exact_backtrack
 from conftest import random_path
 
 
@@ -175,6 +178,78 @@ def test_reduce_keeps_a_turn_whose_cross_terms_overflow():
     same -inf, which once read as colinear and dropped the middle vertex."""
     a = path_of([[0.0, 0.0], [1e200, 1e200], [0.0, -1e200]])
     assert np.array_equal(reduce_path(a).values, a.values)
+
+
+def _reduce_reference(a: Path) -> Path:
+    """reduce_path as two lists pushed and popped in lockstep: the loop it
+    replaced, kept as the reference its one stack is compared against."""
+    times = a.times
+    values = a.values
+    out_t = [float(times[0])]
+    out_v = [values[0]]
+    for s in range(1, a.n_samples):
+        t = float(times[s])
+        w = values[s]
+        while True:
+            if np.array_equal(w, out_v[-1]):
+                break  # zero displacement: drop the incoming sample
+            if len(out_v) < 2:
+                out_t.append(t)
+                out_v.append(w)
+                break
+            u, v = out_v[-2], out_v[-1]
+            d1 = v - u
+            d2 = w - v
+            if not _exact_backtrack(d1, d2):
+                out_t.append(t)
+                out_v.append(w)
+                break
+            if np.array_equal(w, u):
+                # full cancellation of the spike u -> v -> u
+                out_t.pop()
+                out_v.pop()
+                break
+            out_t.pop()
+            out_v.pop()
+            if float(np.dot(d2, d2)) < float(np.dot(d1, d1)):
+                # partial backtrack: w sits strictly between u and v
+                out_t.append(t)
+                out_v.append(w)
+                break
+            # overshoot past u: re-examine w against the segment before u
+    return Path(np.asarray(out_t), np.vstack(out_v), a.channel_names)
+
+
+@st.composite
+def lattice_walks(draw) -> Path:
+    """A walk on the integer lattice in one or two channels, steps in
+    {-2..2} per channel: full, partial and overshooting backtracks and
+    zero segments all occur. Times are irregular."""
+    n = draw(st.integers(1, 2))
+    steps = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                          max_size=14))
+    start = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    values = np.cumsum(np.array([start] + steps, dtype=float), axis=0)
+    gaps = draw(st.lists(st.floats(0.125, 4.0), min_size=len(steps),
+                         max_size=len(steps)))
+    return Path(np.cumsum([0.0] + gaps), values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_walks())
+def test_reduce_matches_the_two_list_reference_bit_for_bit(a):
+    got, ref = reduce_path(a), _reduce_reference(a)
+    assert got.times.tobytes() == ref.times.tobytes()
+    assert got.values.shape == ref.values.shape
+    assert got.values.tobytes() == ref.values.tobytes()
+
+
+def test_reduce_reexamines_a_sample_that_overshoots_twice():
+    """0 -> 1 -> 2 -> -1 backtracks past 1 and then past 0: -1 is checked
+    against each earlier segment in turn, not appended after the first."""
+    r = reduce_path(path_of([[0.0], [1.0], [2.0], [-1.0]]))
+    assert np.array_equal(r.values, [[0.0], [-1.0]])
+    assert np.array_equal(r.times, [0.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -100,6 +101,44 @@ def test_engine_matches_simplex_oracle(a):
             assert abs(s.coefficient(word) - signature_oracle(a, word)) <= (
                 1e-12 * scale**k
             )
+
+
+def _oracle_reference(a: Path, word) -> float:
+    """signature_oracle's sum with its hand-rolled product and run counter:
+    the loop it replaced, kept as the reference it is compared against."""
+    k = len(word)
+    if k == 0:
+        return 1.0
+    deltas = np.diff(a.values, axis=0)
+    m = deltas.shape[0]
+    if m == 0:
+        return 0.0
+    cols = [deltas[:, c - 1] for c in word]
+    total = 0.0
+    for segs in itertools.combinations_with_replacement(range(m), k):
+        term = 1.0
+        for pos, s in enumerate(segs):
+            term *= cols[pos][s]
+        run = 1
+        for pos in range(1, k):
+            if segs[pos] == segs[pos - 1]:
+                run += 1
+            else:
+                term /= math.factorial(run)
+                run = 1
+        term /= math.factorial(run)
+        total += term
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    nonuniform_paths(n, max_samples=7),
+    st.lists(st.integers(1, n), max_size=4))))
+def test_oracle_matches_the_run_counter_reference_bit_for_bit(case):
+    a, word = case
+    got, ref = signature_oracle(a, word), _oracle_reference(a, word)
+    assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 def test_oracle_rejects_long_words(rng):
