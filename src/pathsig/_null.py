@@ -129,15 +129,15 @@ def _permuted(values: np.ndarray, rngs: Iterator[np.random.Generator],
     return np.swapaxes(out, 1, 2)
 
 
-def _columns(values: np.ndarray, src) -> np.ndarray:
-    """A (..., T, len(src)) array whose column k is column src[k] of
-    values, or 0 where src[k] is None. It fills one column at a time:
-    numpy copies a strided block of a few columns several times slower,
-    and np.zeros (calloc) raised lorenz-sig's peak RSS by ~0.4 MB."""
-    out = np.empty(values.shape[:-1] + (len(src),))
-    for k, c in enumerate(src):
-        out[..., k] = 0.0 if c is None else values[..., c]
-    return out
+def _widened(p: Path, names, reads, held) -> Path:
+    """p, whose channels are held's, widened to the channels names names:
+    channel c is p's of held[k] = c if c is in reads, else 0. A batch
+    comes back channel-major. It fills one row at a time: np.zeros
+    (calloc) raised lorenz-sig's peak RSS by ~0.4 MB."""
+    out = np.empty(p.values.shape[:-2] + (len(names), p.n_samples))
+    for c in range(len(names)):
+        out[..., c, :] = p.values[..., held.index(c)] if c in reads else 0.0
+    return Path(p.times, np.swapaxes(out, -1, -2), names, p)
 
 
 @one_path
@@ -157,22 +157,26 @@ def _chunks(a: Path, spec: NullModelSpec, cfg: Optional[PreprocessConfig],
     _CHUNK_VALUES values at a time: batch holds replicates r0..r1-1, each
     with every channel up to held's last permuted by its own generator,
     then held's channels preprocessed by cfg. Batch has all of a's
-    channels, those outside reads at 0. A failure is raised prefixed with
-    "a shuffled replicate failed: "."""
+    channels, those outside reads at 0. A chunk stays channel-major from
+    the shuffle to the statistic: its values view an (r1 - r0, N, T)
+    array, so each channel is a contiguous row, and each stage drops the
+    buffer of the one before. held, a range (all channels, or a pair),
+    slices the shuffled rows without a copy. The grid is a's, checked once.
+    A failure is raised prefixed with "a shuffled replicate failed: "."""
     n = a.n_channels
     chunk = max(1, _CHUNK_VALUES // a.values.size)
     rngs = generators(mix_seed(spec.seed, r) for r in range(spec.replicates))
-    rows = np.ascontiguousarray(a.values[:, :held[-1] + 1].T)
-    names = [a.channel_names[c] for c in held]
-    at = [held.index(c) if c in reads else None for c in range(n)]
+    rows = np.ascontiguousarray(a.values[:, :held.stop].T)
+    cut = slice(held.start, held.stop, held.step)
     try:
         for r0 in range(0, spec.replicates, chunk):
             r1 = min(r0 + chunk, spec.replicates)
-            p = Path(a.times, _columns(_permuted(rows.T, rngs, r1 - r0), held), names)
+            p = Path(a.times, _permuted(rows.T, rngs, r1 - r0)[..., cut],
+                     a.channel_names[cut], a)
             if cfg is not None:
                 p = path_core.preprocess(p, cfg)
             if len(reads) < n:
-                p = Path(p.times, _columns(p.values, at), a.channel_names)
+                p = _widened(p, a.channel_names, reads, held)
             yield r0, r1, p
             del p  # the next chunk is built without this one
     except ValueError as e:
@@ -231,11 +235,10 @@ def shuffle_null(
     if pair is not None and all(1 <= c <= n for c in pair):
         reads = sorted({c - 1 for c in pair})
         if len(reads) == 2 and getattr(preprocess_cfg, "normalize", "") != "global":
-            held = reads
+            held = range(reads[0], reads[1] + 1, reads[1] - reads[0])
     p = a if preprocess_cfg is None else path_core.preprocess(a, preprocess_cfg)
     if len(reads) < n:
-        p = p.with_values(_columns(p.values, [c if c in reads else None
-                                              for c in range(n)]))
+        p = _widened(p, p.channel_names, reads, range(n))
     times, observed = _curve(statistic_name, pair, *statistic(p, w))
     if spec.replicates * observed.size > MAX_COEFFICIENTS:
         raise ConfigError(f"{spec.replicates} replicates x {observed.size} windows "

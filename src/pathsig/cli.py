@@ -383,15 +383,21 @@ _PREPROCESS = tuple(f.name for f in fields(PreprocessConfig))
 _NULL_MODEL = ("replicates", "sigmas", "min_run", "band_mode")
 
 
-def _add_command(sub, name: str, options: List[Option], help_=None,
+def _add_command(sub, name: str, options: List[Option], built: bool, help_=None,
                  **defaults) -> None:
     p = sub.add_parser(name, help=help_)
-    for flags, kwargs in options:
+    for flags, kwargs in options if built else ():
         p.add_argument(*flags, **kwargs)
     p.set_defaults(parser=p, **defaults)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The argparse tree of every command. Given argv, only the (sub)command
+    it names gets its options: -h still lists every command, and a run
+    parses only the one it names, so no other command's options are built.
+    The top level takes no option with a value, so argv's first word that
+    is not an option is the command, and under gen the next the generator."""
+    words = [w for w in argv if not w.startswith("-")][:2] if argv is not None else None
     parser = argparse.ArgumentParser(
         prog="pathsig",
         description="Path-signature lead-lag and influence analysis.",
@@ -403,11 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(format="json", seed=None, replicates=0, needs=())
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, options, handler, needs) in _COMMANDS.items():
-        _add_command(sub, name, options, help_, handler=handler, needs=needs)
+        _add_command(sub, name, options, words is None or words[:1] == [name],
+                     help_, handler=handler, needs=needs)
     gen = sub.add_parser("gen", help="write synthetic datasets as CSV")
     gsub = gen.add_subparsers(dest="generator", required=True)
     for name, options in _GENERATORS.items():
-        _add_command(gsub, name, options, handler=_cmd_gen, format="csv")
+        _add_command(gsub, name, options, words is None or words == ["gen", name],
+                     handler=_cmd_gen, format="csv")
     return parser
 
 
@@ -462,7 +470,8 @@ def _from_env(action: argparse.Action, name: str):
 def _parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse twice: the first parse finds the command, whose PATHSIG_<DEST>
     values then become its defaults for the second."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     env = {
         a.dest: _from_env(a, ENV_PREFIX + a.dest.upper())

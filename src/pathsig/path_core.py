@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -60,9 +60,10 @@ class ConfigError(ValueError):
     as a diverging integration (the CLI's exit 5)."""
 
 
-def _frozen(x) -> np.ndarray:
-    """x as a read-only float64 view, sharing a C-contiguous float64's memory."""
-    v = np.ascontiguousarray(x, dtype=float).view()
+def _frozen(x, strided: bool = False) -> np.ndarray:
+    """x as a read-only float64 view, sharing a C-contiguous float64's
+    memory, or with strided any float64's, strides kept."""
+    v = (np.asarray if strided else np.ascontiguousarray)(x, dtype=float).view()
     v.setflags(write=False)
     return v
 
@@ -88,26 +89,35 @@ class Path:
     channel_names: N labels; generated as c1..cN when omitted.
     Shape and finiteness are checked once for the whole batch (DataError).
     The arrays are read-only views, sharing memory with a C-contiguous
-    float64 input.
+    float64 input; a batch shares a float64 input's memory in any layout
+    and keeps its strides. So a channel of a channel-major batch, values
+    viewing an (..., N, T) array, is a contiguous row of T samples.
+    Given _grid, a Path whose times object is times, the grid is taken as
+    checked and its uniform step (_uniform_dt) is taken over.
     """
 
     times: np.ndarray
     values: np.ndarray
     channel_names: Tuple[str, ...] = ()
+    _grid: InitVar[Optional["Path"]] = None
 
-    def __post_init__(self) -> None:
-        t = _frozen(self.times)
-        v = _frozen(self.values)
+    def __post_init__(self, _grid: Optional["Path"]) -> None:
+        checked = _grid is not None and self.times is _grid.times
+        t = self.times if checked else _frozen(self.times)
+        v = np.asarray(self.values, dtype=float)
+        v = _frozen(v, strided=v.ndim > 2)
         if t.ndim != 1 or t.size < 1:
             raise DataError("times must be a 1-d array with at least one sample")
         if v.ndim < 2 or v.shape[-2] != t.size:
             raise DataError(f"values must be (..., T, N) with T={t.size}, "
                             f"got shape {v.shape}")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
+        if not (checked or np.all(np.isfinite(t))) or not np.all(np.isfinite(v)):
             raise DataError("times and values must be finite")
         # compared, not subtracted: a gap between finite times can overflow
-        if t.size > 1 and not np.all(t[1:] > t[:-1]):
+        if not checked and t.size > 1 and not np.all(t[1:] > t[:-1]):
             raise DataError("times must be strictly increasing")
+        if checked:
+            object.__setattr__(self, "_dt", _uniform_dt(_grid))
         names = tuple(self.channel_names)
         if not names:
             names = tuple(f"c{k + 1}" for k in range(v.shape[-1]))
@@ -146,14 +156,18 @@ class Path:
             return bool(np.max(np.abs(dt - dt[0])) <= _UNIFORM_RTOL * abs(dt[0]))
 
     def with_values(self, values: np.ndarray) -> "Path":
-        return Path(self.times, values, self.channel_names)
+        return Path(self.times, values, self.channel_names, self)
 
 
 def _uniform_dt(a: Path) -> Optional[float]:
-    """a's uniform time step; None for one sample or a non-uniform grid."""
-    if a.n_samples < 2 or not a.is_uniform():
-        return None
-    return float(a.times[1] - a.times[0])
+    """a's uniform time step; None for one sample or a non-uniform grid.
+    Worked out once per grid, and kept on the Path."""
+    if "_dt" not in a.__dict__:
+        dt = None
+        if a.n_samples > 1 and a.is_uniform():
+            dt = float(a.times[1] - a.times[0])
+        object.__setattr__(a, "_dt", dt)
+    return a.__dict__["_dt"]
 
 
 def one_path(fn: Callable) -> Callable:
@@ -294,12 +308,17 @@ def reparametrize(a: Path, warp: Callable[[np.ndarray], np.ndarray]) -> Path:
 
 def gaussian_smooth(a: Path, sigma: float) -> Path:
     """Convolve each channel (of each path in a batch) with a unit-sum
-    Gaussian kernel, one np.convolve per row.
+    Gaussian kernel.
 
     sigma is in time units; the kernel is truncated at +-3 sigma and
     renormalized, and channels are reflect-padded at the boundaries.
     Requires a uniform time grid. sigma = 0 is the identity. A kernel of
     more than MAX_COEFFICIENTS samples is refused before it is built.
+    The result keeps the layout of a's rows, so a channel-major batch
+    stays channel-major. Each row is padded by slicing into one reused
+    buffer (by np.pad when the kernel reaches past the far end, where
+    the reflection repeats) and correlated with the reversed kernel: the
+    numpy loop np.convolve runs, so the bytes are np.convolve's.
     """
     _check("sigma", sigma, 0)
     if sigma == 0 or a.n_samples < 2:
@@ -311,21 +330,28 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
     if 2 * radius + 1 > MAX_COEFFICIENTS:
         raise ConfigError(f"a smoothing kernel of {2 * radius + 1:.3g} samples is "
                           f"over the cap of {MAX_COEFFICIENTS}")
-    radius = int(radius)
-    if radius == 0:
+    r = int(radius)
+    if r == 0:
         return a
-    offsets = np.arange(-radius, radius + 1) * dt
+    offsets = np.arange(-r, r + 1) * dt
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     kernel /= kernel.sum()
-    # one row per (path, channel), padded along time
+    taps = kernel[::-1].copy()
+    # one row per (path, channel), along time
     rows = np.swapaxes(a.values, -1, -2)
-    padded = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(radius, radius)],
-                    mode="reflect")
-    smoothed = np.empty(a.values.shape)
-    out = np.swapaxes(smoothed, -1, -2)
+    out = np.empty_like(rows)
+    if r >= a.n_samples - 1:
+        rows = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(r, r)], mode="reflect")
+    padded = np.empty(a.n_samples + 2 * r)
     for k in np.ndindex(rows.shape[:-1]):
-        out[k] = np.convolve(padded[k], kernel, mode="valid")
-    return a.with_values(smoothed)
+        row = rows[k]
+        if row.size < padded.size:
+            padded[r:-r] = row
+            padded[:r] = row[r:0:-1]
+            padded[-r:] = row[-2:-2 - r:-1]
+            row = padded
+        out[k] = np.correlate(row, taps, "valid")
+    return a.with_values(np.swapaxes(out, -1, -2))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -349,8 +375,9 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
     A constant channel cannot be normalized; it is left unscaled with a
     warning. A channel whose mean, centered values or range overflow
     float64 raises ConfigError naming it. A batch is reduced over time path
-    by path, one channel at a time; the mean keeps the summation order of
-    one path.
+    by path, one channel at a time, and comes back channel-major; the mean
+    keeps the summation order of one path, which adds a column in time
+    order when N > 1 (numpy sums a contiguous row pairwise).
     """
     if cfg.smooth_sigma > 0:
         a = gaussian_smooth(a, cfg.smooth_sigma)
@@ -363,13 +390,20 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
         origin = _step_past(times, -1, "prepend the origin sample")
         times = np.concatenate([[origin], times])
     n = a.n_channels
-    values = np.zeros(a.values.shape[:-2] + (times.size, n))
+    batch = a.values.ndim > 2
+    shape = (n, times.size) if batch else (times.size, n)
+    values = np.zeros(a.values.shape[:-2] + shape)
+    if batch:
+        values = np.swapaxes(values, -1, -2)
     body = values[..., times.size - a.n_samples:, :]
-    # one channel at a time: over axis -2 of a batch numpy's inner loop is N
-    # long. The mean stays an axis -2 reduction, summing T as one path does.
+    # one channel at a time: a channel of a batch is a row of T samples
     if cfg.center:
         with np.errstate(over="ignore", invalid="ignore"):
-            means = a.values.mean(axis=-2)
+            if batch and n > 1:  # summed in time order, in place in body
+                means = (0.0 + np.cumsum(a.values, axis=-2, out=body)[..., -1, :]
+                         ) / a.n_samples
+            else:
+                means = a.values.mean(axis=-2)
             if not np.isfinite(means).all():
                 c = np.argmin(np.isfinite(means).reshape(-1, n).all(axis=0))
                 raise ConfigError(f"cannot center: the mean of channel "
@@ -406,4 +440,4 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
         scale = np.where(flat, 1.0, ranges)
         for c in range(n):
             body[..., c] /= scale[..., c, None]
-    return Path(times, values, a.channel_names)
+    return Path(times, values, a.channel_names, a)

@@ -46,10 +46,28 @@ from pathsig import _null, _pcg64
 from pathsig.io import canonical_json, path_csv_blocks, reports_artifact
 
 
+def _laid_out(values: np.ndarray, layout: str) -> np.ndarray:
+    """values (R, T, N) as a time-major array, or as a view of a
+    channel-major (R, N, T) one, whose channels are contiguous rows: the
+    layout of the shuffle null's chunks, "strided" taking every other row
+    of a wider one, as a chunk of a pair (1, 3) does."""
+    if layout == "time-major":
+        return values
+    rows = np.swapaxes(values, 1, 2)
+    if layout == "strided":
+        wide = np.full((rows.shape[0], 2 * rows.shape[1], rows.shape[2]), np.nan)
+        wide[:, ::2] = rows
+        rows = wide[:, ::2]
+    else:
+        rows = np.ascontiguousarray(rows)
+    return np.swapaxes(rows, 1, 2)
+
+
 @st.composite
 def batches(draw, uniform=None):
     """A (R, T, N) batch of paths on one grid, uniform or not, with ties
-    and constant channels mixed in: in every path, or in some paths only."""
+    and constant channels mixed in: in every path, or in some paths only.
+    Its values are time-major or a channel-major view (see _laid_out)."""
     r = draw(st.integers(1, 4))
     t = draw(st.integers(2, 40))
     n = draw(st.integers(1, 3))
@@ -75,7 +93,8 @@ def batches(draw, uniform=None):
         values[::2, :, n - 1] = -0.25
     else:
         values = rng.normal(size=(r, t, n)) * 10.0 ** rng.integers(-150, 150, n)
-    return Path(times, values)
+    layout = draw(st.sampled_from(["time-major", "channel-major", "strided"]))
+    return Path(times, _laid_out(values, layout))
 
 
 def row(batch: Path, k: int) -> Path:
@@ -160,6 +179,22 @@ def test_sliding_influence_of_a_batch_is_each_paths_influence(batch, data):
     w = windows(batch, data) if data.draw(st.booleans()) else None
     assert_rows_match(sliding_signature_derivative, batch, pair, w)
     assert_rows_match(signature_derivative_integral, batch, *pair)
+
+
+@pytest.mark.parametrize("layout", ["channel-major", "strided"])
+def test_a_channel_major_batch_keeps_its_layout(layout):
+    """Path keeps a batch's view, so a channel is a contiguous row; one
+    path is made C-contiguous. Smoothing and preprocessing hand a batch
+    on channel-major."""
+    values = _laid_out(np.random.default_rng(2).normal(size=(3, 20, 2)), layout)
+    batch = Path(np.arange(20.0), values)
+    assert np.shares_memory(batch.values, values)
+    assert batch.channel(2).strides[-1] == 8
+    assert row(batch, 1).values.flags.c_contiguous
+    for out in (gaussian_smooth(batch, 2.0),
+                preprocess(batch, PreprocessConfig(smooth_sigma=1.0, center=True,
+                                                   prepend_zero=True))):
+        assert out.channel(1).strides[-1] == 8
 
 
 def test_a_batch_is_checked_like_its_paths():

@@ -1870,3 +1870,48 @@ def test_output_file_matches_stdout(tmp_path, capfdbinary):
     assert main(["sig", f]) == 0
     streamed = capfdbinary.readouterr().out
     assert out.read_bytes() == streamed
+
+
+# ---------------------------------------------------------------------------
+# a run builds only the parser of the command it names
+
+
+def _parse_outcome(parser, argv):
+    """What parsing argv prints and exits with, or the command it finds
+    and the options PATHSIG_* could set for it."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    options = [(a.dest, a.option_strings, a.default, a.type, a.nargs, a.choices)
+               for a in _options(args.parser)]
+    given = {k: v for k, v in vars(args).items() if k != "parser"}
+    return given, options, args.parser.format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--version"], [], ["bogus"], ["gen"], ["gen", "-h"],
+    ["gen", "nope"], ["gen", "--seed", "3", "cyclic"], ["--", "sig", "-h"],
+    ["sig", "-"], ["sig", "--bogus"], ["slidearea", "--window", "x"],
+    ["slidearea", "-", "--normalize", "both"], ["influence", "--pairs"],
+    ["-h", "sig"], ["leadmatrix", "--format", "csv", "in.csv"],
+] + [[*words, "-h"] for words in COMMANDS] + [list(words) for words in COMMANDS],
+    ids=lambda argv: " ".join(argv) or "no-args")
+def test_the_named_command_parses_as_with_every_parser_built(argv):
+    """-h (every command listed), <command> -h, --version, usage errors
+    and the options PATHSIG_* can set are the full tree's, byte for byte."""
+    assert _parse_outcome(build_parser(argv), argv) == \
+        _parse_outcome(build_parser(), argv)
+
+
+def test_only_the_named_command_gets_its_options():
+    def built(parser):
+        return {" ".join(words): len(p._actions) > 1
+                for words, p in leaf_commands(parser)}
+
+    assert built(build_parser(["leadmatrix", "x.csv"])) == {
+        words: words == "leadmatrix" for words in built(build_parser())}
+    assert built(build_parser(["gen", "events", "--samples", "20"])) == {
+        words: words == "gen events" for words in built(build_parser())}
