@@ -1,7 +1,8 @@
 """The shuffle null: a statistic's curve judged against per-channel
-time-shuffled replicates. _chunks yields them a batch at a time,
-shuffle_null fills the (R, W) curve matrix, and _report judges the observed
-curve against it. pathsig.causality re-exports the public names."""
+time-shuffled replicates. _chunks yields them a batch at a time, each
+channel-major from the shuffle to the statistic, shuffle_null fills the
+(R, W) curve matrix, and _report judges the observed curve against it.
+pathsig.causality re-exports the public names."""
 
 from __future__ import annotations
 

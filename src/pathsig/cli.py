@@ -6,8 +6,9 @@ block by block in a fixed row order, so re-running a command reproduces
 the bytes exactly.
 
 Two tables declare every option and its allowed values once, _COMMANDS
-and _GENERATORS, and build_parser() turns them into the argparse tree; a
-_COMMANDS row also names its handler and the options it cannot go without.
+and _GENERATORS, and build_parser() turns them into the argparse tree,
+adding options only to the command a run names; a _COMMANDS row also
+names its handler and the options it cannot go without.
 Each option of the chosen (sub)command, -h and --version aside, falls back
 to PATHSIG_<DEST> (PATHSIG_LEVEL, PATHSIG_SMOOTH_SIGMA, PATHSIG_N_EVENTS,
 ...): an explicit flag wins over the variable, the variable over the
@@ -395,9 +396,9 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
     """The argparse tree of every command. Given argv, only the (sub)command
     it names gets its options: -h still lists every command, and a run
     parses only the one it names, so no other command's options are built.
-    The top level takes no option with a value, so argv's first word that
-    is not an option is the command, and under gen the next the generator."""
-    words = [w for w in argv if not w.startswith("-")][:2] if argv is not None else None
+    Neither the top level nor gen takes an option with a value, so a run
+    names its command first and, under gen, its generator second."""
+    words = None if argv is None else list(argv[:2])
     parser = argparse.ArgumentParser(
         prog="pathsig",
         description="Path-signature lead-lag and influence analysis.",

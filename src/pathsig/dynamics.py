@@ -182,16 +182,17 @@ def _bump_train(u: np.ndarray, centres: np.ndarray, width, amplitude,
     pad = 1e-15 * (np.abs(centres) + width)
     lo = np.searchsorted(u, centres - width - pad)
     counts = np.searchsorted(u, centres + width + pad) - lo
-    starts = np.cumsum(counts) - counts
+    ends = np.cumsum(counts)
+    shift = lo - ends + counts  # a bump's first sample less its first entry
     first = 0
     while first < centres.size:
-        # bumps first..last-1: about _GATHER samples, or one bump
-        last = max(first + 1, int(np.searchsorted(starts, starts[first] + _GATHER,
-                                                  "right")) - 1)
+        start = ends[first] - counts[first]
+        # bumps first..last-1: at most _GATHER entries, or one bump
+        last = max(first + 1, int(np.searchsorted(ends, start + _GATHER, "right")))
         # the bump of each gathered entry, and its sample index
         which = np.repeat(np.arange(first, last), counts[first:last])
-        rows = np.arange(starts[first], starts[first] + which.size)
-        rows += lo[which] - starts[which]
+        rows = np.arange(start, start + which.size)
+        rows += shift[which]
         rel = u[rows]
         rel -= centres[which]
         rel /= width[which]
