@@ -138,7 +138,7 @@ def _widened(p: Path, names, reads, held) -> Path:
     out = np.empty(p.values.shape[:-2] + (len(names), p.n_samples))
     for c in range(len(names)):
         out[..., c, :] = p.values[..., held.index(c)] if c in reads else 0.0
-    return Path(p.times, np.swapaxes(out, -1, -2), names, p)
+    return Path(p.times, np.swapaxes(out, -1, -2), names, _grid=p)
 
 
 @one_path
@@ -173,7 +173,7 @@ def _chunks(a: Path, spec: NullModelSpec, cfg: Optional[PreprocessConfig],
         for r0 in range(0, spec.replicates, chunk):
             r1 = min(r0 + chunk, spec.replicates)
             p = Path(a.times, _permuted(rows.T, rngs, r1 - r0)[..., cut],
-                     a.channel_names[cut], a)
+                     a.channel_names[cut], _grid=a)
             if cfg is not None:
                 p = path_core.preprocess(p, cfg)
             if len(reads) < n:

@@ -163,47 +163,32 @@ def _noisy(values: np.ndarray, noise_sigma: float, seed: int) -> np.ndarray:
     return values
 
 
-#: gathered samples per np.add.at call of _bump_train, bounding its temporaries
-_GATHER = 1 << 16
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _bump_train(u: np.ndarray, centres: np.ndarray, width, amplitude,
-                out: np.ndarray) -> None:
+def _bump_train(u: np.ndarray, centres: np.ndarray, width: float,
+                amplitude: float, out: np.ndarray) -> None:
     """Add into out, at positions u, amplitude times the raised-cosine bumps
-    of the given width at the given centres (each may be one value or one
-    per bump), bump after bump: where supports overlap, a sample adds them
-    in the centres' order. A bump adds exactly +-0.0 outside its support,
-    so only the samples around it are evaluated, about _GATHER at a time.
-    Unwarned, an infinite (u - c) / w reads 0, a sum inf."""
-    width, amplitude = np.broadcast_arrays(width, amplitude, centres)[:2]
+    of one width at increasing centres whose supports do not overlap; a bump
+    adds exactly +-0.0 outside its support, so only the samples around it
+    are evaluated. Unwarned, an infinite (u - c) / w reads 0, a sum inf."""
     # the support widened by more than the rounding of (u - c) / w and of
     # the bounds, so that every sample past it is outside
     pad = 1e-15 * (np.abs(centres) + width)
     lo = np.searchsorted(u, centres - width - pad)
     counts = np.searchsorted(u, centres + width + pad) - lo
-    ends = np.cumsum(counts)
-    shift = lo - ends + counts  # a bump's first sample less its first entry
-    first = 0
-    while first < centres.size:
-        start = ends[first] - counts[first]
-        # bumps first..last-1: at most _GATHER entries, or one bump
-        last = max(first + 1, int(np.searchsorted(ends, start + _GATHER, "right")))
-        # the bump of each gathered entry, and its sample index
-        which = np.repeat(np.arange(first, last), counts[first:last])
-        rows = np.arange(start, start + which.size)
-        rows += shift[which]
-        rel = u[rows]
-        rel -= centres[which]
-        rel /= width[which]
-        bump = np.pi * rel
-        np.cos(bump, out=bump)
-        bump += 1.0
-        bump *= 0.5
-        bump[np.abs(rel) > 1.0] = 0.0
-        bump *= amplitude[which]
-        np.add.at(out, rows, bump)
-        first = last
+    # the sample index of each gathered entry, bump after bump; in place,
+    # since the heap keeps the peak of these temporaries
+    rows = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    rows += np.arange(rows.size)
+    rel = u[rows]
+    rel -= np.repeat(centres, counts)
+    rel /= width
+    bump = np.pi * rel
+    np.cos(bump, out=bump)
+    bump += 1.0
+    bump *= 0.5
+    bump[np.abs(rel) > 1.0] = 0.0
+    bump *= amplitude
+    out[rows] += bump
 
 
 def cyclic_pair(
@@ -262,19 +247,14 @@ def three_channel_event_series(
     _check_samples(samples)
     t = np.linspace(0.0, 1.0, samples)
     _check_noise(noise_sigma, seed)
-    bumps = []  # (channel, centre, width, amplitude), in event order
+    values = np.zeros((samples, 3))
     for ev in events:
         if not 0.0 <= ev.time <= 1.0:
             raise DataError(f"event time {ev.time} outside [0, 1]")
         for ch, c in ((ev.leader, ev.time), (ev.follower, ev.time + ev.lag)):
             if not 1 <= ch <= 3:
                 raise DataError(f"event channel {ch} outside [1, 3]")
-            bumps.append((ch, c, ev.width, ev.amplitude))
-    ch, *bump = np.array(bumps, dtype=float).reshape(-1, 4).T
-    values = np.zeros((3, samples))
-    for k in range(3):
-        _bump_train(t, *(b[ch == k + 1] for b in bump), values[k])
-    values = values.T
+            _bump_train(t, np.array([c]), ev.width, ev.amplitude, values[:, ch - 1])
     if not np.isfinite(values).all():
         raise DataError("the events' bumps sum past float64")
     return Path(t, _noisy(values, noise_sigma, seed), ("y1", "y2", "y3"))

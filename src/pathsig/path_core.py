@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -92,13 +92,15 @@ class Path:
     float64 input; a batch shares a float64 input's memory in any layout
     and keeps its strides. So a channel of a channel-major batch, values
     viewing an (..., N, T) array, is a contiguous row of T samples.
-    Given _grid, a Path whose times object is times, the grid is taken as
-    checked and its uniform step (_uniform_dt) is taken over.
+    Given _grid (by keyword, private), a Path whose times object is times,
+    the grid is taken as checked and its uniform step (_uniform_dt) is
+    taken over, as each Path the shuffle null makes of a chunk does.
     """
 
     times: np.ndarray
     values: np.ndarray
     channel_names: Tuple[str, ...] = ()
+    _: KW_ONLY
     _grid: InitVar[Optional["Path"]] = None
 
     def __post_init__(self, _grid: Optional["Path"]) -> None:
@@ -156,7 +158,7 @@ class Path:
             return bool(np.max(np.abs(dt - dt[0])) <= _UNIFORM_RTOL * abs(dt[0]))
 
     def with_values(self, values: np.ndarray) -> "Path":
-        return Path(self.times, values, self.channel_names, self)
+        return Path(self.times, values, self.channel_names, _grid=self)
 
 
 def _uniform_dt(a: Path) -> Optional[float]:
@@ -440,4 +442,4 @@ def preprocess(a: Path, cfg: PreprocessConfig) -> Path:
         scale = np.where(flat, 1.0, ranges)
         for c in range(n):
             body[..., c] /= scale[..., c, None]
-    return Path(times, values, a.channel_names, a)
+    return Path(times, values, a.channel_names, _grid=a)

@@ -43,6 +43,7 @@ from pathsig import (
     winding_number,
 )
 from pathsig import _null, _pcg64
+from pathsig.path_core import DataError, _uniform_dt
 from pathsig.io import canonical_json, path_csv_blocks, reports_artifact
 
 
@@ -67,7 +68,9 @@ def _laid_out(values: np.ndarray, layout: str) -> np.ndarray:
 def batches(draw, uniform=None):
     """A (R, T, N) batch of paths on one grid, uniform or not, with ties
     and constant channels mixed in: in every path, or in some paths only.
-    Its values are time-major or a channel-major view (see _laid_out)."""
+    Its values are time-major or a channel-major view (see _laid_out),
+    each a third of the time: the tests that draw it run three times the
+    examples, so each layout gets as many as time-major batches alone got."""
     r = draw(st.integers(1, 4))
     t = draw(st.integers(2, 40))
     n = draw(st.integers(1, 3))
@@ -140,14 +143,14 @@ def windows(batch: Path, data) -> WindowSpec:
 # functions that broadcast: batch rows are bit-identical to single paths
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=240, deadline=None)
 @given(batches(uniform=True), st.floats(0.0, 4.0))
 def test_smoothing_a_batch_smooths_each_path(batch, sigma_steps):
     sigma = sigma_steps * float(batch.times[1] - batch.times[0])
     assert_rows_match(gaussian_smooth, batch, sigma)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(batches(), st.data())
 def test_preprocessing_a_batch_preprocesses_each_path(batch, data):
     smooth = 0.0
@@ -163,7 +166,7 @@ def test_preprocessing_a_batch_preprocesses_each_path(batch, data):
     assert_rows_match(preprocess, batch, cfg)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(batches(), st.data())
 def test_sliding_area_of_a_batch_is_each_paths_area(batch, data):
     pair = (data.draw(st.integers(1, batch.n_channels)),
@@ -171,7 +174,7 @@ def test_sliding_area_of_a_batch_is_each_paths_area(batch, data):
     assert_rows_match(sliding_signed_area, batch, pair, windows(batch, data))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(batches(), st.data())
 def test_sliding_influence_of_a_batch_is_each_paths_influence(batch, data):
     pair = (data.draw(st.integers(1, batch.n_channels)),
@@ -195,6 +198,19 @@ def test_a_channel_major_batch_keeps_its_layout(layout):
                 preprocess(batch, PreprocessConfig(smooth_sigma=1.0, center=True,
                                                    prepend_zero=True))):
         assert out.channel(1).strides[-1] == 8
+
+
+def test_a_path_on_a_checked_grid_takes_over_its_step():
+    """_grid skips the checks of the times object it was checked with only:
+    a Path on those times takes over its step, one on other times is
+    checked as usual."""
+    a = Path(np.linspace(0.0, 1.0, 5), np.zeros((5, 2)))
+    b = a.with_values(np.ones((2, 5, 2)))
+    assert b.times is a.times and _uniform_dt(b) == _uniform_dt(a) == 0.25
+    with pytest.raises(DataError, match="finite"):
+        Path(np.array([0.0, np.nan, 1.0, 2.0, 3.0]), np.zeros((5, 2)), _grid=a)
+    with pytest.raises(TypeError):
+        Path(a.times, a.values, a.channel_names, a)
 
 
 def test_a_batch_is_checked_like_its_paths():

@@ -1915,3 +1915,17 @@ def test_only_the_named_command_gets_its_options():
         words: words == "leadmatrix" for words in built(build_parser())}
     assert built(build_parser(["gen", "events", "--samples", "20"])) == {
         words: words == "gen events" for words in built(build_parser())}
+
+
+def test_no_option_before_the_command_takes_a_value():
+    """build_parser(argv) reads the command from argv's first word (and
+    gen's generator from its second). That holds while neither the top
+    level nor gen has an option that takes a value: with one, say a
+    top-level --format csv, the command's options would go unbuilt and
+    every run would fail on 'unrecognized arguments'."""
+    parser = build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    for p in (parser, sub.choices["gen"]):
+        assert [a.option_strings for a in p._actions
+                if a.option_strings and a.nargs != 0] == []

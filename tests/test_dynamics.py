@@ -415,28 +415,6 @@ def test_event_series_matches_full_grid_bumps(events, samples, noise, seed):
     assert a.values.tobytes() == expected.tobytes()
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(_events, min_size=1, max_size=20),
-    st.integers(16, 300),
-    st.sampled_from([1, 5, 64]),
-)
-def test_events_gathered_in_small_parts_match_full_grid_bumps(events, samples,
-                                                              gather):
-    """A channel's bumps are gathered about _GATHER samples at a time and
-    added with np.add.at in event order: parts of 1, 5 or 64 samples give
-    the full-grid bytes, also where events overlap, where leader and
-    follower are one channel, and with each event's own width and
-    amplitude (two such events are always in)."""
-    events = events + [Event(0.5, 2, 2, lag=0.01, width=0.2, amplitude=-0.75),
-                       Event(0.52, 2, 1, lag=-0.01, width=0.05, amplitude=3.0)]
-    with mock.patch.object(dynamics, "_GATHER", gather):
-        a = three_channel_event_series(events, samples)
-    with np.errstate(all="ignore"):
-        expected = _full_grid_events(events, samples, 0.0, 0)
-    assert a.values.tobytes() == expected.tobytes()
-
-
 @pytest.mark.parametrize("lag", [1.7e308, -1.7e308])
 def test_support_bounds_past_float64_do_not_warn(lag):
     """A centre and width whose support bounds overflow give the full-grid
