@@ -13,6 +13,7 @@ are the classical baselines the signed-area statistic is contrasted with.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -56,30 +57,39 @@ class WindowSpec:
 # -- window machinery --------------------------------------------------------
 
 
-def _index_windows(a: Path, dt: float, w: WindowSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample-aligned windows on a uniform grid.
+@functools.lru_cache(maxsize=2, typed=True)
+def _index_windows(samples: int, dt: float, length, stride
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sample-aligned windows of a WindowSpec(length, stride) on a uniform
+    grid of the given samples and step dt.
 
     Window length snaps to round(length/dt) segments and each start on the
     stride grid snaps to its nearest sample. Returns (start, end) sample
     index arrays; end - start is constant. A stride under dt/2 puts a grid
     point strictly inside every sample's rounding cell, so every sample
-    starts a window and the grid is not built.
+    starts a window and the grid is not built. The arrays are read-only
+    and shared by every call with the same arguments (the replicates of a
+    null all ask for the observed path's windows); the last two argument
+    sets are kept, and an error is raised anew on every call.
     """
-    n_seg = np.rint(w.length / dt)  # a float, so that a huge ratio is inf
+    n_seg = np.rint(length / dt)  # a float, so that a huge ratio is inf
     if n_seg < 1:
         raise DataError("window is shorter than the sample spacing")
-    if n_seg > a.n_samples - 1:
+    if n_seg > samples - 1:
         raise DataError("window is longer than the series")
     n_seg = int(n_seg)
-    last_start = a.n_samples - 1 - n_seg
-    if w.stride < 0.5 * dt:
+    last_start = samples - 1 - n_seg
+    if stride < 0.5 * dt:
         k1 = np.arange(last_start + 1)
-        return k1, k1 + n_seg
-    m = np.arange(int(np.floor(last_start * dt / w.stride + 1e-9)) + 2)
-    with np.errstate(over="ignore"):  # inf past the end is dropped below
-        k1 = np.rint(m * w.stride / dt)
-    k1 = np.unique(k1[k1 <= last_start]).astype(int)
-    return k1, k1 + n_seg
+    else:
+        m = np.arange(int(np.floor(last_start * dt / stride + 1e-9)) + 2)
+        with np.errstate(over="ignore"):  # inf past the end is dropped below
+            k1 = np.rint(m * stride / dt)
+        k1 = np.unique(k1[k1 <= last_start]).astype(int)
+    k2 = k1 + n_seg
+    k1.setflags(write=False)
+    k2.setflags(write=False)
+    return k1, k2
 
 
 def _from_zero(x: np.ndarray) -> np.ndarray:
@@ -123,7 +133,11 @@ def sliding_signed_area(
     uniform grid both length and starts snap to the sample grid; otherwise
     the window runs between boundary vertices interpolated at its exact
     start and end times. Either way each window costs O(1) from one prefix
-    sum of the samples' cross terms x dy - y dx. Raises ConfigError("the
+    sum of the samples' cross terms x dy - y dx, formed in place in the
+    two diff buffers and summed by one cumsum along time, written behind a
+    leading 0. On a uniform grid the windows' sample indices are worked
+    out once per (samples, step, window) and shared (_index_windows), so
+    the chunks of a null reuse the observed path's. Raises ConfigError("the
     signed_area curve of pair i,j is not finite") past float64, with no
     numpy warning first.
     """
@@ -132,10 +146,14 @@ def sliding_signed_area(
     y = a.channel(j)
     dx = np.diff(x)
     dy = np.diff(y)
-    cross = _from_zero(np.cumsum(x[..., :-1] * dy - y[..., :-1] * dx, axis=-1))
+    np.multiply(x[..., :-1], dy, out=dy)
+    np.subtract(dy, np.multiply(y[..., :-1], dx, out=dx), out=dy)
+    cross = np.empty(x.shape)
+    cross[..., 0] = 0.0
+    np.cumsum(dy, axis=-1, out=cross[..., 1:])
     dt = _uniform_dt(a)
     if dt is not None:
-        lo, hi = _index_windows(a, dt, w)
+        lo, hi = _index_windows(a.n_samples, dt, w.length, w.stride)
         ts, te = a.times[lo], a.times[hi]
         xs, ys, xe, ye = x[..., lo], y[..., lo], x[..., hi], y[..., hi]
         core = cross[..., hi] - cross[..., lo]
@@ -178,7 +196,7 @@ def sliding_signature_derivative(
     a.channel(i), a.channel(j)
     dt = _uniform_dt(a)
     if dt is not None:
-        k1, k2 = _index_windows(a, dt, w)
+        k1, k2 = _index_windows(a.n_samples, dt, w.length, w.stride)
     else:
         ws, we = _time_windows(a, w)
         k1 = np.searchsorted(a.times, ws, side="left")
