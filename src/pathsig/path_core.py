@@ -53,6 +53,10 @@ _UNIFORM_RTOL = 1e-8
 #: was faster, but left the process 4 MB larger after ~35 c09 null runs
 _SMOOTH_GROUP = 1 << 14
 
+#: largest smoothing radius whose rows gaussian_smooth groups: at 1,500
+#: samples grouping gained up to 32 and was level or worse from 48 on
+_SMOOTH_GROUP_RADIUS = 32
+
 
 class DataError(ValueError):
     """The input cannot serve the request: its own grid, length, channel
@@ -329,8 +333,9 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
     the reflection repeats), followed by 2 * radius zeros. One np.correlate
     with the reversed kernel then gives each row's outputs as the first T
     of its padded length; the rest straddle two rows and are dropped.
-    Every output is still one dot product of the same taps and samples,
-    the loop np.convolve runs, so the bytes are np.convolve's per row.
+    Past a radius of _SMOOTH_GROUP_RADIUS a group is one row, without the
+    zeros. Every output is still one dot product of the same taps and
+    samples, the loop np.convolve runs, so the bytes are np.convolve's.
     """
     _check("sigma", sigma, 0)
     if sigma == 0 or a.n_samples < 2:
@@ -363,11 +368,14 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
     if wide:
         rows = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(r, r)], mode="reflect")
     src = rows.reshape(-1, n, rows.shape[-1])
-    # a group is whole paths, or part of one path's channels
+    # a group is whole paths, or part of one path's channels. Back to back,
+    # each row also gives 2r outputs that straddle two rows and are dropped;
+    # past _SMOOTH_GROUP_RADIUS they cost more than the calls grouping saves
     size = t + 2 * r
-    g = max(1, (_SMOOTH_GROUP - 2 * r) // size)
+    g = max(1, (_SMOOTH_GROUP - 2 * r) // size) if r <= _SMOOTH_GROUP_RADIUS else 1
     paths, chans = max(1, g // n), min(g, n)
-    buf = np.empty(paths * chans * size + 2 * r)
+    tail = 2 * r if g > 1 else 0
+    buf = np.empty(paths * chans * size + tail)
     for p in range(0, src.shape[0], paths):
         for c in range(0, n, chans):
             part = src[p:p + paths, c:c + chans]
@@ -379,9 +387,10 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
                 body[..., r:-r] = part
                 body[..., :r] = part[..., r:0:-1]
                 body[..., -r:] = part[..., -2:-2 - r:-1]
-            buf[m:m + 2 * r] = 0.0
-            smoothed = np.correlate(buf[:m + 2 * r], taps, "valid")
-            dst[p:p + paths, c:c + chans] = smoothed.reshape(body.shape)[..., :t]
+            buf[m:m + tail] = 0.0
+            smoothed = np.correlate(buf[:m + tail], taps, "valid")
+            dst[p:p + paths, c:c + chans] = smoothed.reshape(
+                part.shape[:2] + (-1,))[..., :t]
     return a.with_values(values)
 
 

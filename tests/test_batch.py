@@ -43,7 +43,7 @@ from pathsig import (
     winding_number,
 )
 from pathsig import _null, _pcg64
-from pathsig.path_core import DataError, _uniform_dt
+from pathsig.path_core import ConfigError, DataError, _uniform_dt
 from pathsig.io import canonical_json, path_csv_blocks, reports_artifact
 
 
@@ -105,12 +105,15 @@ def row(batch: Path, k: int) -> Path:
 
 
 def outcome(fn, *args):
-    """fn's result, or the message of its ValueError, with warnings off."""
+    """fn's result, or the message of the DataError or ConfigError it
+    raises, with warnings off. Any other error, numpy's own ValueErrors
+    among them, fails the test: a fault shared by the batch and its rows
+    is not a match."""
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         try:
             return fn(*args)
-        except ValueError as exc:
+        except (DataError, ConfigError) as exc:
             return str(exc)
 
 

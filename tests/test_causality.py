@@ -25,7 +25,7 @@ from pathsig import (
     sliding_signed_area,
     three_channel_event_series,
 )
-from pathsig import _null
+from pathsig import _null, causality
 from pathsig._null import _significant_runs
 from conftest import random_path
 
@@ -124,6 +124,59 @@ def test_strides_below_half_dt_start_a_window_at_every_sample(rng, length):
         assert np.array_equal(got[1], want[1])
         got = sliding_signature_derivative(a, (1, 2), w)
         assert np.array_equal(got[1], want_d[1])
+
+
+def test_window_indices_are_shared_read_only_arrays():
+    """A repeated (samples, step, window) gets the same arrays, which no
+    caller can write; a changed window, stride, step or sample count gets
+    arrays of its own, as worked out afresh."""
+    t = np.linspace(0.0, 1.0, 11)
+    a = Path(t, np.column_stack([t, t * t]))
+    w = WindowSpec(0.4, 0.2)
+    sliding_signed_area(a, (1, 2), w)
+    lo, hi = causality._index_windows(11, 0.1, 0.4, 0.2)
+    for k in (lo, hi):
+        assert not k.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            k[0] = 1
+    hits = causality._index_windows.cache_info().hits
+    sliding_signed_area(a, (1, 2), w)
+    sliding_signature_derivative(a, (1, 2), w)
+    assert causality._index_windows.cache_info().hits == hits + 2
+    again = causality._index_windows(11, 0.1, 0.4, 0.2)
+    assert again[0] is lo and again[1] is hi
+    assert lo.tolist() == [0, 2, 4, 6] and hi.tolist() == [4, 6, 8, 10]
+    for args, starts, ends in [((11, 0.1, 0.6, 0.2), [0, 2, 4], [6, 8, 10]),
+                               ((11, 0.1, 0.4, 0.3), [0, 3, 6], [4, 7, 10]),
+                               ((11, 0.2, 0.4, 0.2), [0, 1, 2, 3, 4, 5, 6, 7, 8],
+                                [2, 3, 4, 5, 6, 7, 8, 9, 10]),
+                               ((9, 0.1, 0.4, 0.2), [0, 2, 4], [4, 6, 8])]:
+        got = causality._index_windows(*args)
+        assert got[0] is not lo and got[1] is not hi
+        assert (got[0].tolist(), got[1].tolist()) == (starts, ends)
+    # the same length and stride as ints: exactly the arguments the window
+    # held, so worked out apart from the float ones
+    assert causality._index_windows(11, 1.0, 4, 2)[0] is not \
+        causality._index_windows(11, 1.0, 4.0, 2.0)[0]
+
+
+@pytest.mark.parametrize("w, message", [
+    (WindowSpec(0.01, 0.1), "window is shorter than the sample spacing"),
+    (WindowSpec(1.5, 0.1), "window is longer than the series")])
+def test_a_bad_window_raises_on_every_call(w, message):
+    """No error is cached: the second call raises as the first did, and
+    leaves nothing in the cache."""
+    t = np.linspace(0.0, 1.0, 11)
+    a = Path(t, np.column_stack([t, t * t]))
+    size = causality._index_windows.cache_info().currsize
+    misses = causality._index_windows.cache_info().misses
+    for call in (1, 2):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            sliding_signed_area(a, (1, 2), w)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            sliding_signature_derivative(a, (1, 2), w)
+    info = causality._index_windows.cache_info()
+    assert info.currsize == size and info.misses == misses + 4
 
 
 def test_too_many_nonuniform_windows_raise_before_allocating(rng):

@@ -2,7 +2,8 @@
 it replaced, kept here as _chunks_reference with its smoothing and
 preprocessing: every chunk, curve and report must match bit for bit. Also
 pins smoothing with a kernel as wide as the series, where np.pad reflects
-more than once."""
+more than once, and smoothing a group of rows per np.correlate call
+against one np.convolve per row."""
 
 from __future__ import annotations
 
@@ -131,6 +132,58 @@ def test_a_kernel_as_wide_as_the_series_reflects_as_np_pad(t, sigma):
     for batch in (Path(times, values), Path(times, np.swapaxes(rows, 1, 2))):
         assert gaussian_smooth(batch, sigma).values.tobytes() == \
             _wide_reference(batch, sigma).tobytes()
+
+
+def _rows_per_group(t: int, r: int) -> int:
+    """gaussian_smooth's rows per np.correlate call at T = t, radius r."""
+    if r > path_core._SMOOTH_GROUP_RADIUS:
+        return 1
+    return max(1, (path_core._SMOOTH_GROUP - 2 * r) // (t + 2 * r))
+
+
+def _smoothing_inputs(t: int, r: int, rng):
+    """(layout, Path) pairs whose row counts straddle the groups: one path
+    of 1, g - 1, g, g + 1 and 2g + 1 channels (g rows per group), and
+    batches of as many paths of 1 and 3 channels (g // N paths per group),
+    time-major, channel-major and every other row of a wider channel-major
+    array."""
+    times = np.arange(float(t))
+    g = _rows_per_group(t, r)
+    for n, per in ((1, g), (3, max(1, g // 3))):
+        for count in sorted({1, per - 1, per, per + 1, 2 * per + 1} - {0}):
+            values = rng.normal(size=(count, t, n))
+            rows = np.swapaxes(values, 1, 2)
+            wide = np.full((count, 2 * n, t), np.nan)
+            wide[:, ::2] = rows
+            yield f"time-major {count}x{n}", Path(times, values)
+            yield f"channel-major {count}x{n}", Path(
+                times, np.swapaxes(np.ascontiguousarray(rows), 1, 2))
+            yield f"strided {count}x{n}", Path(times, np.swapaxes(wide[:, ::2], 1, 2))
+            if n == 1:
+                yield f"one path of {count}", Path(times, values[..., 0].T)
+
+
+@pytest.mark.parametrize("t, r", [
+    (7, 1), (7, 3), (7, 5), (7, 6), (7, 10), (7, 28),
+    (60, 1), (60, 20), (60, 58), (60, 59), (60, 63), (60, 240),
+    (1500, 1), (1500, 17), (1500, 1498), (1500, 1499), (1500, 1503),
+    (1500, 6000)])
+def test_grouped_smoothing_matches_one_convolve_per_row(t, r):
+    """Rows smoothed a group at a time, back to back in one buffer, give
+    np.pad's and np.convolve's bytes row by row: at row counts around the
+    group size and twice it, radii from 1 to past the series (np.pad's
+    repeated reflection), grouped (radius up to 32) or one row per call,
+    every layout; and the layout is kept."""
+    sigma = r / 3.0  # dt = 1: the radius is floor(3 sigma)
+    for layout, a in _smoothing_inputs(t, r, np.random.default_rng(t + r)):
+        got = gaussian_smooth(a, sigma).values
+        want = _smooth_reference(a, sigma).values
+        assert got.shape == want.shape, layout
+        assert got.tobytes() == want.tobytes(), layout
+        if layout.startswith(("time-major", "one path")):
+            assert got.flags.c_contiguous, layout
+        else:
+            assert np.swapaxes(got, -1, -2).flags.c_contiguous, layout
 
 
 _PAIRS = [(1, 2), (2, 3), (1, 3), (3, 1), (2, 2), None]
