@@ -348,7 +348,7 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
         raise ConfigError(f"a smoothing kernel of {2 * radius + 1:.3g} samples is "
                           f"over the cap of {MAX_COEFFICIENTS}")
     r = int(radius)
-    if r == 0:
+    if r == 0 or a.values.size == 0:
         return a
     offsets = np.arange(-r, r + 1) * dt
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)

@@ -314,6 +314,14 @@ def test_smooth_reduces_noise_variance(rng):
     assert out.values.var() < a.values.var()
 
 
+@pytest.mark.parametrize("shape", [(5, 0), (3, 5, 0), (0, 5, 2)])
+def test_smoothing_no_rows_gives_no_rows(shape):
+    """A path of no channels, or a batch of none or of paths without
+    channels, smooths to values of its own shape."""
+    a = Path(np.arange(5.0), np.zeros(shape))
+    assert gaussian_smooth(a, 1.0).values.shape == shape
+
+
 def test_smooth_requires_uniform_grid(rng):
     a = random_path(rng, uniform=False)
     with pytest.raises(ValueError):
