@@ -373,7 +373,7 @@ def gaussian_smooth(a: Path, sigma: float) -> Path:
     # past _SMOOTH_GROUP_RADIUS they cost more than the calls grouping saves
     size = t + 2 * r
     g = max(1, (_SMOOTH_GROUP - 2 * r) // size) if r <= _SMOOTH_GROUP_RADIUS else 1
-    paths, chans = max(1, g // n), min(g, n)
+    paths, chans = min(max(1, g // n), src.shape[0]), min(g, n)
     tail = 2 * r if g > 1 else 0
     buf = np.empty(paths * chans * size + tail)
     for p in range(0, src.shape[0], paths):
