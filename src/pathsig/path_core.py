@@ -49,8 +49,8 @@ MAX_COEFFICIENTS = 1 << 21
 _UNIFORM_RTOL = 1e-8
 
 #: float64 values in gaussian_smooth's buffer of padded rows (10 rows of
-#: c09's 1,500 samples and radius 17). One buffer for a whole null chunk
-#: was faster, but left the process 4 MB larger after ~35 c09 null runs
+#: c09's 1,500 samples and radius 17). Larger buffers were slower in a
+#: stage timing: 2^15 values, and one for a whole c09 null chunk (~344 KB)
 _SMOOTH_GROUP = 1 << 14
 
 #: largest smoothing radius whose rows gaussian_smooth groups: at 1,500
