@@ -13,11 +13,16 @@ lead-matrix CSV and then the generated CSV that its two CLI children
 write. Then it runs every case of CASES in tests/test_golden.py through
 pathsig.cli.main with -o, its inputs under tests/golden/, and prints one
 line per artifact: `golden case sha256`, over the file's bytes (the
-golden tests compare to 1e-12; these lines compare bytes). Two checkouts
-whose lines match produced the same outputs byte for byte, so a change
-meant to keep every output can be compared against its parent. Exits 1
-when a workload's check() reports a problem with an output, or a golden
-case does not exit 0 (its line is then left out).
+golden tests compare to 1e-12; these lines compare bytes). Last it runs
+each argv of cli_cases() through pathsig.cli.main, with COLUMNS=80 and no
+PATHSIG_* variable set, and prints one line per argv: `cli ["arg",...]
+sha256`, over its exit code, stdout and stderr. These are help, --version
+and usage errors, which exit before reading any input, so the lines compare
+the parser's text. Two checkouts whose lines match produced the same
+outputs byte for byte, so a change meant to keep every output can be
+compared against its parent. Exits 1 when a workload's check() reports a
+problem with an output, or a golden case does not exit 0 (its line is then
+left out).
 
 The library, the workloads and the cases are read from --root (default:
 the checkout this script is in); nothing under perfbench/ is modified.
@@ -34,7 +39,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import ast  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -62,6 +69,26 @@ def golden_cases(root: str) -> dict:
     raise SystemExit("tests/test_golden.py defines no CASES")
 
 
+def cli_cases(cli) -> list:
+    """The argv of each `cli` line: the top level, gen, every command and
+    generator of the cli module's tables with -h, and some usage errors."""
+    return ([[], ["-h"], ["--version"], ["bogus"], ["gen"], ["gen", "nope"],
+             ["gen", "-h"]]
+            + [[name, "-h"] for name in cli._COMMANDS]
+            + [["gen", name, "-h"] for name in cli._GENERATORS]
+            + [["sig", "--bogus"], ["slidearea", "--window", "x"],
+               ["slidearea", "-", "--normalize", "both"],
+               ["influence", "--pairs"]])
+
+
+def cli_outcome(cli, argv) -> bytes:
+    """The exit code, stdout and stderr of an in-process cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return json.dumps([code, out.getvalue(), err.getvalue()]).encode("utf-8")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 5])
@@ -86,7 +113,7 @@ def main(argv=None) -> int:
             for problem in problems:
                 print(f"{name} seed {seed}: {problem}", file=sys.stderr)
             failed = failed or bool(problems)
-    from pathsig.cli import main as cli_main
+    import pathsig.cli as cli
 
     golden = os.path.join(root, "tests", "golden")
     for case, case_argv in sorted(golden_cases(root).items()):
@@ -94,7 +121,7 @@ def main(argv=None) -> int:
                      for a in case_argv]
         with tempfile.TemporaryDirectory() as work:
             out = os.path.join(work, "artifact")
-            code = cli_main(case_argv + ["-o", out])
+            code = cli.main(case_argv + ["-o", out])
             if code != 0:
                 print(f"golden {case}: exit {code}", file=sys.stderr)
                 failed = True
@@ -102,6 +129,14 @@ def main(argv=None) -> int:
             with open(out, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
         print("golden", case, digest, flush=True)
+    # help wraps at COLUMNS; a PATHSIG_* variable could fail a parse
+    os.environ["COLUMNS"] = "80"
+    for var in [v for v in os.environ if v.startswith("PATHSIG_")]:
+        del os.environ[var]
+    for case_argv in cli_cases(cli):
+        digest = hashlib.sha256(cli_outcome(cli, case_argv)).hexdigest()
+        print("cli", json.dumps(case_argv, separators=(",", ":")), digest,
+              flush=True)
     return 1 if failed else 0
 
 

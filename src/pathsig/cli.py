@@ -6,9 +6,9 @@ block by block in a fixed row order, so re-running a command reproduces
 the bytes exactly.
 
 Two tables declare every option and its allowed values once, _COMMANDS
-and _GENERATORS, and build_parser() turns them into the argparse tree,
-adding options only to the command a run names; a _COMMANDS row also
-names its handler and the options it cannot go without.
+and _GENERATORS, and build_parser() turns them into the one argparse tree
+that every run, -h included, parses; a _COMMANDS row also names its
+handler and the options it cannot go without.
 Each option of the chosen (sub)command, -h and --version aside, falls back
 to PATHSIG_<DEST> (PATHSIG_LEVEL, PATHSIG_SMOOTH_SIGMA, PATHSIG_N_EVENTS,
 ...): an explicit flag wins over the variable, the variable over the
@@ -384,21 +384,17 @@ _PREPROCESS = tuple(f.name for f in fields(PreprocessConfig))
 _NULL_MODEL = ("replicates", "sigmas", "min_run", "band_mode")
 
 
-def _add_command(sub, name: str, options: List[Option], built: bool, help_=None,
+def _add_command(sub, name: str, options: List[Option], help_=None,
                  **defaults) -> None:
     p = sub.add_parser(name, help=help_)
-    for flags, kwargs in options if built else ():
+    for flags, kwargs in options:
         p.add_argument(*flags, **kwargs)
     p.set_defaults(parser=p, **defaults)
 
 
-def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """The argparse tree of every command. Given argv, only the (sub)command
-    it names gets its options: -h still lists every command, and a run
-    parses only the one it names, so no other command's options are built.
-    Neither the top level nor gen takes an option with a value, so a run
-    names its command first and, under gen, its generator second."""
-    words = None if argv is None else list(argv[:2])
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command and generator, each with all of
+    its options from _COMMANDS or _GENERATORS."""
     parser = argparse.ArgumentParser(
         prog="pathsig",
         description="Path-signature lead-lag and influence analysis.",
@@ -410,13 +406,11 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
     parser.set_defaults(format="json", seed=None, replicates=0, needs=())
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, options, handler, needs) in _COMMANDS.items():
-        _add_command(sub, name, options, words is None or words[:1] == [name],
-                     help_, handler=handler, needs=needs)
+        _add_command(sub, name, options, help_, handler=handler, needs=needs)
     gen = sub.add_parser("gen", help="write synthetic datasets as CSV")
     gsub = gen.add_subparsers(dest="generator", required=True)
     for name, options in _GENERATORS.items():
-        _add_command(gsub, name, options, words is None or words == ["gen", name],
-                     handler=_cmd_gen, format="csv")
+        _add_command(gsub, name, options, handler=_cmd_gen, format="csv")
     return parser
 
 
@@ -471,8 +465,7 @@ def _from_env(action: argparse.Action, name: str):
 def _parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse twice: the first parse finds the command, whose PATHSIG_<DEST>
     values then become its defaults for the second."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
+    parser = build_parser()
     args = parser.parse_args(argv)
     env = {
         a.dest: _from_env(a, ENV_PREFIX + a.dest.upper())

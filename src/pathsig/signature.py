@@ -37,7 +37,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .path_core import MAX_COEFFICIENTS, ConfigError, DataError, Path, one_path
-from .tensor_algebra import TruncatedTensor, validate_word
+from .tensor_algebra import TruncatedTensor, _zero_grades, validate_word
 
 __all__ = [
     "DEFAULT_LEVEL_CAP",
@@ -87,7 +87,8 @@ def _prefix_levels(deltas: np.ndarray, level: int) -> List[np.ndarray]:
     block seed the next one.
     """
     n = deltas.shape[1]
-    sig = [np.ones(1)] + [np.zeros(n**k) for k in range(1, level + 1)]
+    sig = _zero_grades(n, level)
+    sig[0][0] = 1.0
     # per segment: prefixes and increments of every grade plus one product
     row_bytes = 3 * 8 * sum(n**k for k in range(level + 1))
     block = max(1, _BLOCK_BYTES // row_bytes)

@@ -67,6 +67,11 @@ def words_of_length(alphabet_size: int, k: int) -> List[Word]:
     return list(itertools.product(range(1, alphabet_size + 1), repeat=k))
 
 
+def _zero_grades(n: int, level: int) -> List[np.ndarray]:
+    """Grades 0..level over N = n, each all +0.0."""
+    return [np.zeros(n**k) for k in range(level + 1)]
+
+
 @dataclass(frozen=True)
 class TruncatedTensor:
     """Element of the tensor algebra truncated at ``level``.
@@ -101,17 +106,13 @@ class TruncatedTensor:
 
     @classmethod
     def zero(cls, alphabet_size: int, level: int) -> "TruncatedTensor":
-        return cls(
-            alphabet_size,
-            level,
-            tuple(np.zeros(alphabet_size**k) for k in range(level + 1)),
-        )
+        return cls(alphabet_size, level, tuple(_zero_grades(alphabet_size, level)))
 
     @classmethod
     def unit(cls, alphabet_size: int, level: int) -> "TruncatedTensor":
         """Multiplicative identity: constant term 1, all higher grades 0."""
-        levels = [np.zeros(alphabet_size**k) for k in range(level + 1)]
-        levels[0] = np.ones(1)
+        levels = _zero_grades(alphabet_size, level)
+        levels[0][0] = 1.0
         return cls(alphabet_size, level, tuple(levels))
 
     @classmethod
@@ -120,7 +121,7 @@ class TruncatedTensor:
     ) -> "TruncatedTensor":
         """Embed a channel-displacement vector at grade 1."""
         v = np.asarray(vector, dtype=float)
-        levels = [np.zeros(len(v) ** k) for k in range(level + 1)]
+        levels = _zero_grades(len(v), level)
         if level >= 1:
             levels[1] = v.copy()
         return cls(len(v), level, tuple(levels))
@@ -208,12 +209,10 @@ def _graded_product(a: Sequence[np.ndarray], b: Sequence[np.ndarray], n: int,
     accumulator never holds -0.0, so a +-0.0 term leaves its bits alone: a
     finite result is bit-identical to one that keeps every term.
     """
-    out = []
-    for k in range(level + 1):
-        acc = np.zeros(n**k)
+    out = _zero_grades(n, level)
+    for k, acc in enumerate(out):
         for p in range(low_a, k - low_b + 1):
             acc += np.multiply.outer(a[p], b[k - p]).ravel()
-        out.append(acc)
     return out
 
 
@@ -261,7 +260,7 @@ def tensor_log(s: TruncatedTensor) -> TruncatedTensor:
         raise ConfigError("tensor_log requires constant term exactly 1")
     n, level = s.alphabet_size, s.level
     power = TruncatedTensor.unit(n, level).levels
-    result = [np.zeros(n**k) for k in range(level + 1)]
+    result = _zero_grades(n, level)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, level + 1):
             power = _graded_product(power, s.levels, n, level, j - 1, 1)

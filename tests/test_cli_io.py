@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,6 +26,8 @@ from pathsig.cli import (
     EXIT_DATA,
     EXIT_IO,
     EXIT_USAGE,
+    _COMMANDS,
+    _GENERATORS,
     build_parser,
     main,
 )
@@ -1873,59 +1876,21 @@ def test_output_file_matches_stdout(tmp_path, capfdbinary):
 
 
 # ---------------------------------------------------------------------------
-# a run builds only the parser of the command it names
+# -h: every run parses the one tree that help prints
 
 
-def _parse_outcome(parser, argv):
-    """What parsing argv prints and exits with, or the command it finds
-    and the options PATHSIG_* could set for it."""
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err):
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return exc.code, out.getvalue(), err.getvalue()
-    options = [(a.dest, a.option_strings, a.default, a.type, a.nargs, a.choices)
-               for a in _options(args.parser)]
-    given = {k: v for k, v in vars(args).items() if k != "parser"}
-    return given, options, args.parser.format_help()
-
-
-@pytest.mark.parametrize("argv", [
-    ["-h"], ["--version"], [], ["bogus"], ["gen"], ["gen", "-h"],
-    ["gen", "nope"], ["gen", "--seed", "3", "cyclic"], ["--", "sig", "-h"],
-    ["sig", "-"], ["sig", "--bogus"], ["slidearea", "--window", "x"],
-    ["slidearea", "-", "--normalize", "both"], ["influence", "--pairs"],
-    ["-h", "sig"], ["leadmatrix", "--format", "csv", "in.csv"],
-] + [[*words, "-h"] for words in COMMANDS] + [list(words) for words in COMMANDS],
-    ids=lambda argv: " ".join(argv) or "no-args")
-def test_the_named_command_parses_as_with_every_parser_built(argv):
-    """-h (every command listed), <command> -h, --version, usage errors
-    and the options PATHSIG_* can set are the full tree's, byte for byte."""
-    assert _parse_outcome(build_parser(argv), argv) == \
-        _parse_outcome(build_parser(), argv)
-
-
-def test_only_the_named_command_gets_its_options():
-    def built(parser):
-        return {" ".join(words): len(p._actions) > 1
-                for words, p in leaf_commands(parser)}
-
-    assert built(build_parser(["leadmatrix", "x.csv"])) == {
-        words: words == "leadmatrix" for words in built(build_parser())}
-    assert built(build_parser(["gen", "events", "--samples", "20"])) == {
-        words: words == "gen events" for words in built(build_parser())}
-
-
-def test_no_option_before_the_command_takes_a_value():
-    """build_parser(argv) reads the command from argv's first word (and
-    gen's generator from its second). That holds while neither the top
-    level nor gen has an option that takes a value: with one, say a
-    top-level --format csv, the command's options would go unbuilt and
-    every run would fail on 'unrecognized arguments'."""
-    parser = build_parser()
-    sub, = (a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction))
-    for p in (parser, sub.choices["gen"]):
-        assert [a.option_strings for a in p._actions
-                if a.option_strings and a.nargs != 0] == []
+@pytest.mark.parametrize("command", [" ".join(c) for c in COMMANDS])
+def test_help_names_each_command_and_lists_its_options(command, capsys,
+                                                       monkeypatch):
+    """pathsig -h names every command, pathsig gen -h every generator, and
+    <command> -h exits 0 listing every flag of the command's table row."""
+    monkeypatch.setenv("COLUMNS", "80")
+    words = command.split()
+    for depth, name in enumerate(words):
+        assert main([*words[:depth], "-h"]) == 0
+        assert re.search(rf"^ +{name}\b", capsys.readouterr().out, re.M)
+    row = _GENERATORS[words[1]] if words[0] == "gen" else _COMMANDS[words[0]][1]
+    assert main([*words, "-h"]) == 0
+    out = capsys.readouterr().out
+    assert [flag for flags, _ in row for flag in flags
+            if not re.search(rf"(?<![\w-]){flag}\b", out)] == []
