@@ -13,16 +13,18 @@ lead-matrix CSV and then the generated CSV that its two CLI children
 write. Then it runs every case of CASES in tests/test_golden.py through
 pathsig.cli.main with -o, its inputs under tests/golden/, and prints one
 line per artifact: `golden case sha256`, over the file's bytes (the
-golden tests compare to 1e-12; these lines compare bytes). Last it runs
-each argv of cli_cases() through pathsig.cli.main, with COLUMNS=80 and no
+golden tests compare to 1e-12; these lines compare bytes). It runs the
+slidearea_events case once more with --band-mode quantile, which no golden
+case uses, and prints `quantile slidearea_events sha256`. Last it runs each
+argv of cli_cases() through pathsig.cli.main, with COLUMNS=80 and no
 PATHSIG_* variable set, and prints one line per argv: `cli ["arg",...]
 sha256`, over its exit code, stdout and stderr. These are help, --version
 and usage errors, which exit before reading any input, so the lines compare
 the parser's text. Two checkouts whose lines match produced the same
 outputs byte for byte, so a change meant to keep every output can be
 compared against its parent. Exits 1 when a workload's check() reports a
-problem with an output, or a golden case does not exit 0 (its line is then
-left out).
+problem with an output, or a golden or quantile case does not exit 0 (its
+line is then left out).
 
 The library, the workloads and the cases are read from --root (default:
 the checkout this script is in); nothing under perfbench/ is modified.
@@ -116,19 +118,24 @@ def main(argv=None) -> int:
     import pathsig.cli as cli
 
     golden = os.path.join(root, "tests", "golden")
-    for case, case_argv in sorted(golden_cases(root).items()):
+    cases = golden_cases(root)
+    runs = [("golden", case, cases[case]) for case in sorted(cases)]
+    # no golden case uses quantile bands; this line pins their bytes
+    runs.append(("quantile", "slidearea_events",
+                 cases["slidearea_events"] + ["--band-mode", "quantile"]))
+    for kind, case, case_argv in runs:
         case_argv = [os.path.join(golden, a) if a.endswith(".csv") else a
                      for a in case_argv]
         with tempfile.TemporaryDirectory() as work:
             out = os.path.join(work, "artifact")
             code = cli.main(case_argv + ["-o", out])
             if code != 0:
-                print(f"golden {case}: exit {code}", file=sys.stderr)
+                print(f"{kind} {case}: exit {code}", file=sys.stderr)
                 failed = True
                 continue
             with open(out, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
-        print("golden", case, digest, flush=True)
+        print(kind, case, digest, flush=True)
     # help wraps at COLUMNS; a PATHSIG_* variable could fail a parse
     os.environ["COLUMNS"] = "80"
     for var in [v for v in os.environ if v.startswith("PATHSIG_")]:

@@ -153,17 +153,18 @@ def shuffle_channels(a: Path, derived_seed: int) -> Path:
 
 
 def _chunks(a: Path, spec: NullModelSpec, cfg: Optional[PreprocessConfig],
-            reads, held) -> Iterator[Tuple[int, int, Path]]:
-    """The replicates of a's null as (r0, r1, batch), a chunk of about
-    _CHUNK_VALUES values at a time: batch holds replicates r0..r1-1, each
-    with every channel up to held's last permuted by its own generator,
-    then held's channels preprocessed by cfg. Batch has all of a's
-    channels, those outside reads at 0. A chunk stays channel-major from
-    the shuffle to the statistic: its values view an (r1 - r0, N, T)
-    array, so each channel is a contiguous row, and each stage drops the
+            reads, held, statistic, w) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """The statistic's curve rows over w for a's null, as (r0, r1, values),
+    a chunk of about _CHUNK_VALUES values at a time: values holds rows
+    r0..r1-1, one per replicate, from one batched Path. Each replicate has
+    every channel up to held's last permuted by its own generator, held's
+    channels preprocessed by cfg, and those outside reads at 0. A chunk
+    stays channel-major from the shuffle to the statistic (each channel a
+    contiguous row of an (r1 - r0, N, T) array), and each stage drops the
     buffer of the one before. held, a range (all channels, or a pair),
     slices the shuffled rows without a copy. The grid is a's, checked once.
-    A failure is raised prefixed with "a shuffled replicate failed: "."""
+    A ValueError from any stage is raised prefixed with "a shuffled
+    replicate failed: "."""
     n = a.n_channels
     chunk = max(1, _CHUNK_VALUES // a.values.size)
     rngs = generators(mix_seed(spec.seed, r) for r in range(spec.replicates))
@@ -178,8 +179,9 @@ def _chunks(a: Path, spec: NullModelSpec, cfg: Optional[PreprocessConfig],
                 p = path_core.preprocess(p, cfg)
             if len(reads) < n:
                 p = _widened(p, a.channel_names, reads, held)
-            yield r0, r1, p
+            _, values = statistic(p, w)
             del p  # the next chunk is built without this one
+            yield r0, r1, values
     except ValueError as e:
         raise ConfigError(f"a shuffled replicate failed: {e}") from e
 
@@ -213,8 +215,9 @@ def shuffle_null(
     (naming pair, if given), or names the first of the null's mean, std
     and bands that does. A replicate can fail where the observed series
     does not: its centering mean is a float sum in shuffled order, and its
-    curve can overflow where the statistic checks its own. That error is
-    raised as a ConfigError prefixed with "a shuffled replicate failed: ".
+    curve can overflow where the statistic checks its own. _chunks raises
+    any replicate's ValueError, from whichever stage, as a ConfigError
+    prefixed with "a shuffled replicate failed: ".
 
     A pair of two channels of a also names the only channels the statistic
     reads. Every other channel reads 0, in the observed curve and in every
@@ -245,15 +248,11 @@ def shuffle_null(
         raise ConfigError(f"{spec.replicates} replicates x {observed.size} windows "
                          f"is over the cap of {MAX_COEFFICIENTS}")
     curves = np.empty((spec.replicates, observed.size))
-    for r0, r1, batch in _chunks(a, spec, preprocess_cfg, reads, held):
-        try:
-            _, values = statistic(batch, w)
-        except ValueError as e:
-            raise ConfigError(f"a shuffled replicate failed: {e}") from e
+    for r0, r1, values in _chunks(a, spec, preprocess_cfg, reads, held,
+                                  statistic, w):
         if np.shape(values) != (r1 - r0, observed.size):
             raise ConfigError("statistic changed length under shuffling")
         curves[r0:r1] = values
-        del batch  # as _chunks drops it: the next chunk is built without it
     return _report(statistic_name, pair, times, observed, curves, spec)
 
 
@@ -268,8 +267,7 @@ def _report(name, pair, times, observed, curves, spec) -> SignificanceReport:
     else:
         # empirical quantiles at the two-sided coverage of +-k sigma
         p_lo = 0.5 * math.erfc(spec.band_sigmas / math.sqrt(2.0))
-        band_lo = np.quantile(curves, p_lo, axis=0)
-        band_hi = np.quantile(curves, 1.0 - p_lo, axis=0)
+        band_lo, band_hi = np.quantile(curves, [p_lo, 1.0 - p_lo], axis=0)
     for what, arr in (("mean", null_mean), ("std", null_std)):
         if not np.isfinite(arr).all():
             raise ConfigError(f"the null {what} is not finite")

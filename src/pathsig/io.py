@@ -168,11 +168,11 @@ def _parse_path_csv(source: IO[str]) -> Path:
 
 def _text_blocks(lines, n_cols: int, line_num: int) -> Iterator[np.ndarray]:
     """The data rows, after line_num lines, as float arrays of up to
-    _READ_ROWS lines each. np.loadtxt converts a block with no '"' and no
-    line over csv.field_size_limit() if it reads n_cols columns from it
-    without raising or warning; csv would split it alike, and loadtxt reads
-    a cell as float() does or refuses it. The first block it refuses and
-    the rest of the input go through the csv path, _data_blocks."""
+    _READ_ROWS lines each. np.loadtxt converts a block with no line over
+    csv.field_size_limit() if it reads n_cols columns from it without
+    raising or warning; csv would split it alike, and loadtxt reads a cell
+    as float() does or refuses it (any '"' in it too). The first block it
+    refuses and the rest of the input go through the csv path, _data_blocks."""
     try:
         while True:
             block: List[str] = []
@@ -180,8 +180,7 @@ def _text_blocks(lines, n_cols: int, line_num: int) -> Iterator[np.ndarray]:
             block.extend(itertools.islice(lines, _READ_ROWS))
             if not block:
                 return
-            text = "".join(block)
-            if '"' in text or max(map(len, block)) > csv.field_size_limit():
+            if max(map(len, block)) > csv.field_size_limit():
                 break
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

@@ -2,11 +2,13 @@
 it replaced, kept here as _chunks_reference with its smoothing and
 preprocessing: every chunk, curve and report must match bit for bit. Also
 pins smoothing with a kernel as wide as the series, where np.pad reflects
-more than once, and smoothing a group of rows per np.correlate call
-against one np.convolve per row."""
+more than once, smoothing a group of rows per np.correlate call against
+one np.convolve per row, the one boundary that names a failed replicate,
+and quantile bands from one np.quantile call against one per edge."""
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ from pathsig import (NullModelSpec, Path, PreprocessConfig, WindowSpec,
                      sliding_signed_area)
 from pathsig import _null, path_core
 from pathsig._pcg64 import generators, mix_seed
+from pathsig.path_core import ConfigError
 from pathsig.io import canonical_json
 
 _CHUNKS = _null._chunks
@@ -87,9 +90,10 @@ def _columns(values: np.ndarray, src) -> np.ndarray:
     return out
 
 
-def _chunks_reference(a: Path, spec: NullModelSpec, cfg, reads, held):
+def _chunks_reference(a: Path, spec: NullModelSpec, cfg, reads, held,
+                      statistic, w):
     """Each chunk copied to time-major columns after the shuffle, and again
-    to widen it to all channels."""
+    to widen it to all channels, then the statistic's curve rows of it."""
     held = list(held)
     n = a.n_channels
     chunk = max(1, _null._CHUNK_VALUES // a.values.size)
@@ -97,15 +101,19 @@ def _chunks_reference(a: Path, spec: NullModelSpec, cfg, reads, held):
     rows = np.ascontiguousarray(a.values[:, :held[-1] + 1].T)
     names = [a.channel_names[c] for c in held]
     at = [held.index(c) if c in reads else None for c in range(n)]
-    for r0 in range(0, spec.replicates, chunk):
-        r1 = min(r0 + chunk, spec.replicates)
-        p = Path(a.times, _columns(_null._permuted(rows.T, rngs, r1 - r0), held),
-                 names)
-        if cfg is not None:
-            p = _preprocess_reference(p, cfg)
-        if len(reads) < n:
-            p = Path(p.times, _columns(p.values, at), a.channel_names)
-        yield r0, r1, p
+    try:
+        for r0 in range(0, spec.replicates, chunk):
+            r1 = min(r0 + chunk, spec.replicates)
+            p = Path(a.times,
+                     _columns(_null._permuted(rows.T, rngs, r1 - r0), held), names)
+            if cfg is not None:
+                p = _preprocess_reference(p, cfg)
+            if len(reads) < n:
+                p = Path(p.times, _columns(p.values, at), a.channel_names)
+            _, values = statistic(p, w)
+            yield r0, r1, values
+    except ValueError as e:
+        raise ConfigError(f"a shuffled replicate failed: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +245,9 @@ def test_channel_major_chunks_match_the_time_major_ones(
     try:
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            new = list(_CHUNKS(a, spec, cfg, reads, held))
-            ref = list(_chunks_reference(a, spec, cfg, reads, held))
+            own = lambda p, w: (p.times, p)  # a statistic that returns its batch
+            new = list(_CHUNKS(a, spec, cfg, reads, held, own, None))
+            ref = list(_chunks_reference(a, spec, cfg, reads, held, own, None))
             assert [c[:2] for c in new] == [c[:2] for c in ref]
             for (_, _, p), (_, _, q) in zip(new, ref):
                 assert p.times.tobytes() == q.times.tobytes()
@@ -265,3 +274,103 @@ def test_channel_major_chunks_match_the_time_major_ones(
         _null._CHUNK_VALUES = old
     assert reports[0] == reports[1]
 
+
+# ---------------------------------------------------------------------------
+# the replicate failure boundary, and quantile bands
+
+_PREFIX = "a shuffled replicate failed: "
+# channel a alternates +-0.85e308: its mean in time order is finite, but a
+# shuffled order can sum past the float64 range
+_ALT = Path(np.arange(40.0), np.column_stack([
+    np.where(np.arange(40) % 2 == 0, 0.85e308, -0.85e308),
+    (7.0 * np.arange(40)) % 5]), ("a", "b"))
+_CENTERED = PreprocessConfig(center=True, normalize="per")
+_NOISE = Path(np.arange(40.0), np.random.default_rng(3).normal(size=(40, 2)))
+_W = WindowSpec(10.0, 5.0)
+
+
+def _area(p, w):
+    return sliding_signed_area(p, (1, 2), w)
+
+
+def _on_batches(batch_statistic):
+    """The area statistic for the observed path, batch_statistic for a batch."""
+    return lambda p, w: (_area if p.values.ndim == 2 else batch_statistic)(p, w)
+
+
+def _failing(exc):
+    """A statistic that raises exc."""
+    def statistic(p, w):
+        raise exc
+    return statistic
+
+
+def _unpack_message() -> str:
+    try:
+        _, _ = (1, 2, 3)
+    except ValueError as e:
+        return str(e)
+
+
+def _null_of(statistic, a=_NOISE, cfg=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return shuffle_null(a, statistic, NullModelSpec(replicates=20, seed=1),
+                            _W, cfg, "signed_area", (1, 2))
+
+
+@pytest.mark.parametrize("statistic, a, cfg, message", [
+    (_area, _ALT, _CENTERED,
+     "cannot center: the mean of channel a is not finite"),
+    (_on_batches(_failing(ValueError("no curve for a batch"))), _NOISE, None,
+     "no curve for a batch"),
+    (_on_batches(lambda p, w: (p.times, p.values, p.values)), _NOISE, None,
+     _unpack_message()),
+], ids=["chunk", "statistic", "three-items"])
+def test_a_replicate_failure_is_prefixed_once(statistic, a, cfg, message):
+    """A ValueError raised while a chunk is built (a replicate's centering
+    mean overflows) or by the statistic, or a statistic that returns three
+    items for a batch, ends the null with the replicate's message behind
+    exactly one prefix. The observed curve of each is fine."""
+    _area(a if cfg is None else preprocess(a, cfg), _W)
+    with pytest.raises(ConfigError) as info:
+        _null_of(statistic, a, cfg)
+    assert str(info.value) == _PREFIX + message
+
+
+def test_errors_outside_the_replicate_boundary_keep_their_own_text():
+    """A TypeError from the statistic propagates as it is; the observed
+    curve's own ValueError, and a statistic that returns one (W,) curve for
+    a batch, raise with no prefix."""
+    bad = TypeError("not a batch")
+    with pytest.raises(TypeError) as info:
+        _null_of(_on_batches(_failing(bad)))
+    assert info.value is bad
+    with pytest.raises(ValueError) as info:
+        _null_of(_failing(ValueError("no observed curve")))
+    assert str(info.value) == "no observed curve"
+    with pytest.raises(ConfigError) as info:
+        _null_of(_on_batches(lambda p, w: _area(Path(p.times, p.values[0]), w)))
+    assert str(info.value) == "statistic changed length under shuffling"
+
+
+@pytest.mark.parametrize("r", [2, 3, 17, 1000])
+def test_quantile_bands_are_two_quantile_calls(r):
+    """Both band edges from one np.quantile call over [p, 1 - p] equal one
+    call per edge, bit for bit, at several widths, band_sigmas and value
+    kinds (ties included)."""
+    rng = np.random.default_rng(r)
+    for width in (1, 4, 33):
+        for curves in (rng.normal(size=(r, width)),
+                       rng.integers(-3, 4, (r, width)).astype(float),
+                       rng.standard_cauchy((r, width)) * 1e100):
+            for sigmas in (0.1, 1.0, 2.0, 3.0, 4.5):
+                spec = NullModelSpec(replicates=r, seed=0, band_sigmas=sigmas,
+                                     band_mode="quantile")
+                p_lo = 0.5 * math.erfc(sigmas / math.sqrt(2.0))
+                report = _null._report("s", None, np.arange(float(width)),
+                                       curves[0], curves, spec)
+                lo = np.quantile(curves, p_lo, axis=0)
+                hi = np.quantile(curves, 1.0 - p_lo, axis=0)
+                assert report.band_lo.tobytes() == lo.tobytes()
+                assert report.band_hi.tobytes() == hi.tobytes()
