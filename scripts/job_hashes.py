@@ -15,7 +15,10 @@ pathsig.cli.main with -o, its inputs under tests/golden/, and prints one
 line per artifact: `golden case sha256`, over the file's bytes (the
 golden tests compare to 1e-12; these lines compare bytes). It runs the
 slidearea_events case once more with --band-mode quantile, which no golden
-case uses, and prints `quantile slidearea_events sha256`. Last it runs each
+case uses, and prints `quantile slidearea_events sha256`. It writes
+format_path() through pathsig.io.path_csv_blocks and prints `format
+path_csv_blocks sha256` over the CSV text, which pins the bytes of every
+CSV float, wherever the writer prints it. Last it runs each
 argv of cli_cases() through pathsig.cli.main, with COLUMNS=80 and no
 PATHSIG_* variable set, and prints one line per argv: `cli ["arg",...]
 sha256`, over its exit code, stdout and stderr. These are help, --version
@@ -69,6 +72,30 @@ def golden_cases(root: str) -> dict:
                     and [t.id for t in node.targets] == ["CASES"]):
                 return ast.literal_eval(node.value)
     raise SystemExit("tests/test_golden.py defines no CASES")
+
+
+def format_path(np, Path):
+    """A seeded path whose values are random mantissas at every float64
+    exponent, subnormals included, with a random sign; both zeros; exact
+    ties at the 17th significant digit (x * 10**q an odd multiple of 1/2);
+    and the 20 doubles on each side of 1e-4 and 1e17, where `%.17g` turns
+    to scientific notation. Times are an increasing seeded walk."""
+    rng = np.random.default_rng(29)
+    exponents = np.repeat(np.arange(2047, dtype=np.uint64), 4)
+    bits = (rng.integers(0, 2, exponents.size, dtype=np.uint64)
+            << np.uint64(63) | exponents << np.uint64(52)
+            | rng.integers(0, 2**52, exponents.size, dtype=np.uint64))
+    ties = [float(t) * 0.5 ** (q + 1) for q in range(1, 21)
+            for t in rng.integers(2 * 10**16 // 5**q + 1,
+                                  min(2 * 10**17 // 5**q, 2**53), 20) | 1]
+    # positive doubles order as their bit patterns
+    bounds = (np.array([1e-4, 1e17]).view(np.int64)[:, None]
+              + np.arange(-20, 21)).view(np.float64).ravel()
+    values = np.concatenate([bits.view(np.float64), [0.0, -0.0], ties,
+                             bounds])
+    values = rng.permutation(np.resize(values, -(-values.size // 3) * 3))
+    times = np.cumsum(rng.exponential(size=values.size // 3))
+    return Path(times, values.reshape(-1, 3), ("a", "b", "c"))
 
 
 def cli_cases(cli) -> list:
@@ -136,6 +163,13 @@ def main(argv=None) -> int:
             with open(out, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
         print(kind, case, digest, flush=True)
+    import numpy as np
+    from pathsig import Path
+    from pathsig.io import path_csv_blocks
+
+    text = "".join(path_csv_blocks(format_path(np, Path)))
+    print("format path_csv_blocks",
+          hashlib.sha256(text.encode("utf-8")).hexdigest(), flush=True)
     # help wraps at COLUMNS; a PATHSIG_* variable could fail a parse
     os.environ["COLUMNS"] = "80"
     for var in [v for v in os.environ if v.startswith("PATHSIG_")]:

@@ -23,8 +23,9 @@ the config block each artifact carries. A handler returns (kind, JSON
 payload thunk, CSV body thunk) and one emitter renders the requested format,
 wrapping JSON with io.artifact and CSV with `# key=value` provenance lines.
 The pairwise commands, slidearea, influence and xcorr, share one handler.
-Start-up loads numpy, path_core, io and cli; each handler imports the
-library modules it calls, so leadmatrix adds leadlag alone and --version none.
+Start-up loads numpy, path_core, io, its float formatter _g17 and cli;
+each handler imports the library modules it calls, so leadmatrix adds
+leadlag alone and --version none.
 
 The config block is one rule over the command's options, less the output
 path: an artifact must not depend on where it was written. A generator

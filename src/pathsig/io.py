@@ -1,7 +1,10 @@
 """CSV and JSON serialization for paths and analysis artifacts.
 
 All numeric output is written with 17 significant digits so that a save
-followed by a load reproduces every float bit for bit. JSON artifacts are
+followed by a load reproduces every float bit for bit. A CSV float is the
+text `"%.17g" % x` writes, printed a block at a time by the numpy kernel
+_g17.block_text; `%` itself prints each cell outside the kernel's fixed
+notation (inf, nan, subnormals, scientific notation). JSON artifacts are
 rendered with sorted keys and fixed separators, which makes repeated runs
 byte-identical and diffs meaningful. Each CSV artifact has one writer, a
 block iterator (path_csv_blocks, ...), so its whole text is never held; a
@@ -33,6 +36,7 @@ from typing import (
 import numpy as np
 
 from . import __version__
+from ._g17 import block_text
 from .path_core import DataError, Path, one_path
 
 if TYPE_CHECKING:
@@ -61,8 +65,11 @@ class CsvFormatError(DataError):
     """Input CSV or events file is malformed, or not UTF-8."""
 
 
-#: rows formatted by one % operation; bounds the tuple of a block's cells
-_BLOCK_ROWS = 4096
+#: rows formatted by one block_text call. Its arrays take ~270 bytes a
+#: cell: writing `gen cyclic`'s 100k x 3 path peaks (tracemalloc) at 0.83
+#: MB with 1,024 rows and 3.3 MB with 4,096, where the `%` writer peaked at
+#: 1.07 MB; 512 rows wrote it ~20% slower
+_BLOCK_ROWS = 1024
 #: rows parsed by one numpy call; bounds the lists of a block's cells
 _READ_ROWS = 512
 
@@ -83,19 +90,19 @@ def _rows(lead: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[str]:
     """csv text of one row per entry of the columns, a block at a time.
 
     A row is the lead's cells, quoted by _csv_line, then the row's entries
-    of each 1-D or 2-D column to 17 significant digits (a bool as 0 or 1).
-    Columns are stacked per block, never whole.
+    of each 1-D or 2-D column as `"%.17g" % x` writes them (a bool as 0 or
+    1), by _g17.block_text. Columns are stacked per block, never whole.
     """
-    cells = []
+    head = ""
     if lead:
         # csv writes a row of one empty cell as "", in a longer row as nothing
-        text = "" if list(lead) == [""] else _csv_line(lead)[:-1]
-        cells.append(text.replace("%", "%%"))
-    cells += ["%.17g"] * sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
-    row = ",".join(cells) + "\n"
+        head = ("" if list(lead) == [""] else _csv_line(lead)[:-1]) + ","
     for k in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[k:k + _BLOCK_ROWS] for c in columns])
-        yield row * len(block) % tuple(block.ravel().tolist())
+        text = block_text(np.column_stack([c[k:k + _BLOCK_ROWS]
+                                           for c in columns]))
+        if head:  # a lead cell may hold "\n"; the numbers end rows alone
+            text = head + text[:-1].replace("\n", "\n" + head) + "\n"
+        yield text
 
 
 @contextlib.contextmanager

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import pathsig.io
 from pathsig import DataError, LeadMatrix, Path, SignificanceReport, signature
+from pathsig._g17 import block_text
 from pathsig.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -630,6 +632,104 @@ def test_a_lone_cr_in_a_name_or_statistic_reads_back_as_one_cell():
         "".join(curves_csv_blocks([("x\ry", (1, 2), times, times)]))
     )))
     assert [r[0] for r in rows] == ["statistic", "x\ry", "x\ry"]
+
+
+# ---------------------------------------------------------------------------
+# the numpy %.17g kernel against % itself
+
+
+def _percent_text(block: np.ndarray) -> str:
+    """`"%.17g" % x` of every cell, joined as block_text joins them."""
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return row * len(block) % tuple(block.ravel().tolist())
+
+
+def _assert_writes_percent(block: np.ndarray) -> None:
+    got, want = block_text(block), _percent_text(block)
+    cells = re.split("[,\n]", got), re.split("[,\n]", want)
+    bad = [(x, g, w) for x, g, w in zip(block.ravel(), *cells) if g != w]
+    assert bad[:5] == [] and got == want
+
+
+_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+             -2.2250738585072014e-308, 1.7976931348623157e308, 1e-4, 1e17]
+
+
+def test_the_kernel_writes_percent_on_random_bit_patterns(rng):
+    for _ in range(40):
+        bits = rng.integers(0, 2**64, size=(512, 6), dtype=np.uint64)
+        bits[:, 1] &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # subnormals
+        block = bits.view(np.float64)
+        block.ravel()[rng.integers(0, block.size, 200)] = rng.choice(
+            _SPECIALS, 200)
+        _assert_writes_percent(block)
+
+
+def test_the_kernel_writes_percent_on_scaled_normals_and_decimals(rng):
+    for _ in range(20):
+        scale = 10.0 ** rng.integers(-8, 21, size=(512, 6))
+        _assert_writes_percent(rng.standard_normal((512, 6)) * scale)
+        ratios = rng.integers(-10**7, 10**7, size=(512, 6)) / scale
+        _assert_writes_percent(ratios)
+
+
+def test_the_kernel_writes_percent_beside_each_power_of_ten():
+    values = []
+    for k in range(-8, 21):
+        for toward in (0.0, np.inf):
+            x = 10.0 ** k
+            for _ in range(40):
+                values.append(x)
+                x = np.nextafter(x, toward)
+        below = np.nextafter(float(Fraction(10) ** k), 0.0)
+        if Fraction(below) >= Fraction(10) ** k:
+            below = np.nextafter(below, 0.0)
+        # its 17-digit rounding never carries into the next exponent
+        assert Fraction("%.17g" % below) < Fraction(10) ** k
+    block = np.array(values)
+    _assert_writes_percent(np.concatenate([block, -block]).reshape(-1, 1))
+
+
+def test_the_kernel_rounds_exact_ties_to_even(rng):
+    """x * 10**q is an odd multiple of 1/2 for each x built here, so its
+    17th significant digit is decided by a tie."""
+    ties = []
+    for q in range(1, 21):  # 17 digits end at 10**(k - 16), k = 16 - q
+        five = 5 ** q
+        lo, hi = -(-2 * 10**16 // five), min(2 * 10**17 // five, 2**53)
+        for t in rng.integers(lo, hi, 200) | 1:
+            x = math.ldexp(float(t), -(q + 1))
+            v = Fraction(x) * 10**q
+            if 10**16 <= v < 10**17:
+                assert v.denominator == 2
+                ties.append((x, v.numerator // 2 % 2))
+    parity = [even for _, even in ties]
+    assert len(ties) > 2000 and 0 < sum(parity) < len(ties)
+    block = np.array([x for x, _ in ties])
+    _assert_writes_percent(np.concatenate([block, -block]).reshape(-1, 4))
+
+
+def test_the_kernel_switches_to_percent_at_its_bounds():
+    values = [float("99999999999999999.5"), 99999999999999984.0,
+              9.9999999999999995e-5, 1e-4, 1e17, 0.0, -0.0]
+    for bound in (1e-4, 1e17):
+        for toward in (0.0, np.inf):
+            x = bound
+            for _ in range(20):
+                x = np.nextafter(x, toward)
+                values.append(x)
+    _assert_writes_percent(np.array(values).reshape(-1, 1))
+    text = block_text(np.array([[1e-4, 9.9999999999999991e-05, 1e17,
+                                 99999999999999984.0]]))
+    assert text == "0.0001,9.9999999999999991e-05,1e+17,99999999999999984\n"
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (1, 1025), (7, 1),
+                                   (1025, 1), (3, 2)])
+def test_the_kernel_writes_blocks_of_one_row_and_of_one_column(shape, rng):
+    block = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 19, shape)
+    block.ravel()[::3] = rng.choice(_SPECIALS, block.ravel()[::3].shape)
+    _assert_writes_percent(block)
 
 
 # ---------------------------------------------------------------------------

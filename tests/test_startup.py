@@ -1,6 +1,7 @@
-"""What a pathsig process loads: the CLI starts with numpy, path_core, io and
-cli, a command adds the library modules it calls, and the package binds
-its exports on first use. Each case runs in a fresh interpreter."""
+"""What a pathsig process loads: the CLI starts with numpy, path_core, io,
+its float formatter _g17 and cli, a command adds the library modules it
+calls, and the package binds its exports on first use. Each case runs in
+a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 UNIFORM = str(ROOT / "tests" / "golden" / "gen_events.csv")
-START_UP = ["pathsig", "pathsig.cli", "pathsig.io", "pathsig.path_core"]
+START_UP = ["pathsig", "pathsig._g17", "pathsig.cli", "pathsig.io",
+            "pathsig.path_core"]
 # the modules whose __all__ lists the package exports, in order
 LIBRARY = ("tensor_algebra", "path_core", "signature", "leadlag", "causality",
            "dynamics")
