@@ -74,12 +74,15 @@ def golden_cases(root: str) -> dict:
     raise SystemExit("tests/test_golden.py defines no CASES")
 
 
-def format_path(np, Path):
+def format_path():
     """A seeded path whose values are random mantissas at every float64
     exponent, subnormals included, with a random sign; both zeros; exact
     ties at the 17th significant digit (x * 10**q an odd multiple of 1/2);
     and the 20 doubles on each side of 1e-4 and 1e17, where `%.17g` turns
     to scientific notation. Times are an increasing seeded walk."""
+    import numpy as np
+    from pathsig import Path
+
     rng = np.random.default_rng(29)
     exponents = np.repeat(np.arange(2047, dtype=np.uint64), 4)
     bits = (rng.integers(0, 2, exponents.size, dtype=np.uint64)
@@ -163,11 +166,9 @@ def main(argv=None) -> int:
             with open(out, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
         print(kind, case, digest, flush=True)
-    import numpy as np
-    from pathsig import Path
     from pathsig.io import path_csv_blocks
 
-    text = "".join(path_csv_blocks(format_path(np, Path)))
+    text = "".join(path_csv_blocks(format_path()))
     print("format path_csv_blocks",
           hashlib.sha256(text.encode("utf-8")).hexdigest(), flush=True)
     # help wraps at COLUMNS; a PATHSIG_* variable could fail a parse
