@@ -65,10 +65,10 @@ class CsvFormatError(DataError):
     """Input CSV or events file is malformed, or not UTF-8."""
 
 
-#: rows formatted by one block_text call. Its arrays take ~270 bytes a
-#: cell: writing `gen cyclic`'s 100k x 3 path peaks (tracemalloc) at 0.83
-#: MB with 1,024 rows and 3.3 MB with 4,096, where the `%` writer peaked at
-#: 1.07 MB; 512 rows wrote it ~20% slower
+#: rows formatted by one block_text call. Its arrays take ~260 bytes a
+#: cell: writing `gen cyclic`'s 100k x 3 path peaks (tracemalloc) at 0.80
+#: MB with 1,024 rows and 3.15 MB with 4,096, where the `%` writer peaked at
+#: 1.07 MB; 512 rows wrote it ~10% slower
 _BLOCK_ROWS = 1024
 #: rows parsed by one numpy call; bounds the lists of a block's cells
 _READ_ROWS = 512
